@@ -22,8 +22,9 @@
 //
 // `--shard-sweep[=path]` measures partitioned certification: certified
 // throughput (in simulated time, so the numbers are deterministic) of a
-// shard-disjoint update stream at K = 1, 2, 4, 8 lanes — K = 1 is the
-// plain single-stream Certifier — plus an audited end-to-end run at
+// shard-disjoint update stream at K = 1, 2, 4, 8 certifier lanes — one
+// Certifier class for every K, K = 1 being the default single-lane
+// configuration — plus an audited end-to-end run at
 // K = 4 with partial replication.  Writes BENCH_shards.json and fails
 // unless K = 4 reaches the scaling floor and the audit is clean.
 
@@ -39,7 +40,6 @@
 #include "net/channel.h"
 #include "replication/certifier.h"
 #include "replication/proxy.h"
-#include "replication/sharded_certifier.h"
 #include "workload/experiment.h"
 #include "workload/micro.h"
 #include "sim/simulator.h"
@@ -820,50 +820,39 @@ int RunHotpathJson(const std::string& path) {
 
 /// Certified throughput, in simulated time, of `txns` shard-disjoint
 /// single-table updates (round-robin over eight tables, all keys
-/// distinct) through a K-lane certification stream.  K = 1 runs the
-/// plain single-stream Certifier — the exact object a default
-/// configuration constructs — so the scaling is measured against the
-/// real baseline, not a one-lane ShardedCertifier.  Simulated time makes
-/// the sweep deterministic: the bottleneck is the per-lane certify CPU
-/// and WAL force stream, which is precisely what partitioning splits.
+/// distinct) through a K-lane certifier.  Every K builds the same class
+/// a configuration with shard_lanes = K constructs; K = 1 is the
+/// default single-lane certifier, the baseline the scaling is measured
+/// against.  Simulated time makes the sweep deterministic: the
+/// bottleneck is the per-lane certify CPU and WAL force stream, which is
+/// precisely what partitioning splits.
 double MeasureCertifiedTps(int lanes, int txns) {
   constexpr size_t kSweepTables = 8;
   Simulator sim;
   runtime::SimRuntime rt{&sim};
-  const CertifierConfig config;
+  CertifierConfig config;
   int64_t decisions = 0;
   int64_t aborted = 0;
   auto on_decision = [&](ReplicaId, const CertDecision& d) {
     ++decisions;
     if (!d.commit) ++aborted;
   };
-  auto feed = [&](auto&& submit) {
-    for (TxnId t = 1; t <= static_cast<TxnId>(txns); ++t) {
-      WriteSet ws;
-      ws.txn_id = t;
-      ws.origin = static_cast<ReplicaId>(t % 4);
-      ws.snapshot_version = 0;
-      ws.Add(static_cast<TableId>(t % kSweepTables),
-             static_cast<int64_t>(t), WriteType::kUpdate,
-             Row{Value(static_cast<int64_t>(t))});
-      submit(std::move(ws));
-    }
-  };
-  if (lanes == 1) {
-    Certifier certifier(&rt, config, /*replica_count=*/4, /*eager=*/false);
-    certifier.SetDecisionCallback(on_decision);
-    certifier.SetRefreshCallback([](ReplicaId, const RefreshBatch&) {});
-    feed([&](WriteSet ws) { certifier.SubmitCertification(std::move(ws)); });
-    sim.RunAll();
-  } else {
-    ShardedCertifier certifier(&rt, config, ShardMap(kSweepTables, lanes),
-                               /*replica_count=*/4);
-    certifier.SetDecisionCallback(on_decision);
-    certifier.SetRefreshCallback(
-        [](ShardId, ReplicaId, const RefreshBatch&) {});
-    feed([&](WriteSet ws) { certifier.SubmitCertification(std::move(ws)); });
-    sim.RunAll();
+  config.shard_lanes = lanes;
+  const ShardMap map(kSweepTables, lanes);
+  Certifier certifier(&rt, config, /*replica_count=*/4, /*eager=*/false);
+  if (lanes > 1) certifier.EnableSharding(&map, {});
+  certifier.SetDecisionCallback(on_decision);
+  certifier.SetRefreshCallback([](ReplicaId, const RefreshBatch&) {});
+  for (TxnId t = 1; t <= static_cast<TxnId>(txns); ++t) {
+    WriteSet ws;
+    ws.txn_id = t;
+    ws.origin = static_cast<ReplicaId>(t % 4);
+    ws.snapshot_version = 0;
+    ws.Add(static_cast<TableId>(t % kSweepTables), static_cast<int64_t>(t),
+           WriteType::kUpdate, Row{Value(static_cast<int64_t>(t))});
+    certifier.SubmitCertification(std::move(ws));
   }
+  sim.RunAll();
   SCREP_CHECK(decisions == txns);
   SCREP_CHECK(aborted == 0);
   const double seconds = static_cast<double>(sim.Now()) / 1e6;

@@ -14,85 +14,158 @@ Certifier::Certifier(runtime::Runtime* rt, CertifierConfig config,
       config_(config),
       replica_count_(replica_count),
       eager_(eager),
-      cpu_(rt, "certifier-cpu", 1),
-      disk_(rt, "certifier-disk", 1),
-      conflict_index_(config.mode == CertificationMode::kSerializable),
       eager_tracker_(replica_count),
-      replica_down_(static_cast<size_t>(replica_count), false),
-      refresh_credits_(static_cast<size_t>(replica_count),
-                       static_cast<int64_t>(config.refresh_credit_window)),
-      deferred_refresh_(static_cast<size_t>(replica_count)) {}
+      replica_down_(static_cast<size_t>(replica_count), false) {
+  SCREP_CHECK_MSG(config.shard_lanes >= 1, "need at least one lane");
+  for (int s = 0; s < config.shard_lanes; ++s) {
+    lanes_.push_back(std::make_unique<Lane>(
+        rt,
+        config.shard_lanes == 1 ? "certifier"
+                                : "certifier-lane" + std::to_string(s),
+        config.mode == CertificationMode::kSerializable, replica_count,
+        static_cast<int64_t>(config.refresh_credit_window)));
+  }
+}
+
+void Certifier::EnableSharding(const ShardMap* map,
+                               std::vector<std::vector<ShardId>> hosted) {
+  SCREP_CHECK(map != nullptr && map->shard_count() == lane_count());
+  SCREP_CHECK_MSG(hosted.empty() ||
+                      hosted.size() == static_cast<size_t>(replica_count_),
+                  "hosted-shard sets must cover every replica");
+  map_ = map;
+  hosted_ = std::move(hosted);
+}
 
 void Certifier::SetObservability(obs::Observability* obs) {
-  if (obs == nullptr) {
-    tracer_ = nullptr;
-    event_log_ = nullptr;
-    ctr_certified_ = nullptr;
-    ctr_aborts_ww_ = nullptr;
-    ctr_aborts_rw_ = nullptr;
-    ctr_aborts_window_ = nullptr;
-    ctr_forces_ = nullptr;
-    ctr_shed_ = nullptr;
-    batch_size_hist_ = nullptr;
-    last_batch_gauge_ = nullptr;
-    return;
+  obs::MetricsRegistry* registry = obs != nullptr ? obs->registry() : nullptr;
+  auto counter = [registry](const char* name) {
+    return registry != nullptr ? registry->GetCounter(name) : nullptr;
+  };
+  tracer_ = obs != nullptr ? obs->tracer() : nullptr;
+  event_log_ = obs != nullptr ? obs->event_log() : nullptr;
+  ctr_certified_ = counter("certifier.certified");
+  ctr_aborts_ww_ = counter("certifier.aborts.ww");
+  ctr_aborts_rw_ = counter("certifier.aborts.rw");
+  ctr_aborts_window_ = counter("certifier.aborts.window");
+  ctr_forces_ = counter("certifier.forces");
+  ctr_shed_ = counter("certifier.shed");
+  // Registered only where the sequencer exists, so K = 1 metric
+  // snapshots are unchanged.
+  ctr_sequenced_ = sharded() ? counter("certifier.sequenced") : nullptr;
+  batch_size_hist_ = registry != nullptr
+                         ? registry->GetHistogram("certifier.batch_size")
+                         : nullptr;
+  last_batch_gauge_ = registry != nullptr
+                          ? registry->GetGauge("certifier.last_batch_size")
+                          : nullptr;
+}
+
+size_t Certifier::conflict_index_size() const {
+  size_t total = 0;
+  for (const auto& l : lanes_) total += l->index.size();
+  return total;
+}
+
+size_t Certifier::deferred_refresh_total() const {
+  size_t total = 0;
+  for (const auto& l : lanes_) {
+    for (const auto& q : l->deferred) total += q.size();
   }
-  tracer_ = obs->tracer();
-  event_log_ = obs->event_log();
-  obs::MetricsRegistry* registry = obs->registry();
-  ctr_certified_ = registry->GetCounter("certifier.certified");
-  ctr_aborts_ww_ = registry->GetCounter("certifier.aborts.ww");
-  ctr_aborts_rw_ = registry->GetCounter("certifier.aborts.rw");
-  ctr_aborts_window_ = registry->GetCounter("certifier.aborts.window");
-  ctr_forces_ = registry->GetCounter("certifier.forces");
-  ctr_shed_ = registry->GetCounter("certifier.shed");
-  batch_size_hist_ = registry->GetHistogram("certifier.batch_size");
-  last_batch_gauge_ = registry->GetGauge("certifier.last_batch_size");
+  return total;
+}
+
+DbVersion Certifier::SnapshotIn(const WriteSet& ws, ShardId lane) const {
+  return sharded() ? ShardVersionOf(ws.shard_snapshots, lane)
+                   : ws.snapshot_version;
 }
 
 void Certifier::SubmitCertification(WriteSet ws) {
   SCREP_CHECK_MSG(!ws.empty(), "read-only writesets never reach the certifier");
   SCREP_CHECK(ws.origin != kNoReplica);
-  // Intake bound: refuse on arrival once the CPU queue is at the bound,
-  // BEFORE the writeset can enter the certification stream — a shed
-  // submission is never forwarded to the standby, so primary and standby
-  // still process identical streams.  Failover resubmissions (already in
-  // decided_) are exempt: their decision exists and must be re-sent.
-  if (!muted_ && config_.max_intake > 0 &&
-      cpu_.QueueLength() >= config_.max_intake &&
-      decided_.find(ws.txn_id) == decided_.end()) {
-    ShedSubmission(ws);
+  const TxnId txn = ws.txn_id;
+  // Duplicate of an in-flight cross-shard submission: dropped — the
+  // pending decision reaches the origin exactly once.  (A single-lane
+  // duplicate is resolved when its vote completes, in OnVote.)
+  if (cross_shard_.count(txn) > 0) return;
+  std::vector<ShardId> touched;
+  if (sharded()) {
+    SCREP_CHECK_MSG(map_ != nullptr, "K > 1 needs EnableSharding()");
+    touched = map_->ShardsOf(ws);
+    SCREP_CHECK_MSG(!touched.empty(), "writeset touches no shard");
+  }
+  const ShardId first = touched.empty() ? 0 : touched.front();
+  // Intake bound, per lane: refuse on arrival when ANY touched lane's CPU
+  // queue is at the bound, BEFORE the writeset can enter the
+  // certification stream — a shed submission is never forwarded to the
+  // standby (primary and standby still process identical streams), and a
+  // cross-shard transaction admitted into only some of its lanes would
+  // stall every queue behind its missing votes.  Resubmissions of
+  // decided transactions are exempt: their decision must be re-sent.
+  if (!muted_ && config_.max_intake > 0) {
+    bool at_bound = lane(first).cpu.QueueLength() >= config_.max_intake;
+    for (ShardId s : touched) {
+      at_bound = at_bound || lane(s).cpu.QueueLength() >= config_.max_intake;
+    }
+    if (at_bound && decided_.count(txn) == 0) {
+      ShedSubmission(ws);
+      return;
+    }
+  }
+  if (touched.size() > 1) {
+    if (auto it = decided_.find(txn); it != decided_.end()) {
+      // Replay after one lane's CPU service.  The decision is captured by
+      // value: retirement before the service cannot invalidate it.
+      lane(first).cpu.Submit(
+          config_.certify_cpu_time,
+          [this, origin = ws.origin, decision = it->second]() {
+            if (!muted_) decision_cb_(origin, decision);
+          });
+      return;
+    }
+    CrossShardTxn& pending = cross_shard_[txn];
+    pending.ws = std::move(ws);
+    pending.votes_outstanding = static_cast<int>(touched.size());
+    pending.lanes = std::move(touched);
+    // One certify-CPU service per touched lane: the per-shard conflict
+    // checks proceed in parallel.
+    for (ShardId s : pending.lanes) {
+      lane(s).cpu.Submit(config_.certify_cpu_time,
+                         [this, s, txn]() { OnCrossShardVote(s, txn); });
+    }
     return;
   }
-  // Single CPU server => certifications are processed in arrival order,
-  // which keeps version assignment deterministic.
+  // Single lane: each lane's CPU is one FIFO server, so certifications
+  // are processed in arrival order and version assignment is
+  // deterministic.
   const TimePoint enqueued = rt_->Now();
-  cpu_.Submit(config_.certify_cpu_time,
-              [this, enqueued, ws = std::move(ws)]() mutable {
-                const TxnId txn = ws.txn_id;
-                Certify(std::move(ws));
-                if (tracer_ != nullptr && !muted_) {
-                  // The single-server FIFO CPU served this writeset for
-                  // exactly certify_cpu_time at the end of the interval;
-                  // everything before that was intake queueing.
-                  const TimePoint service_start =
-                      rt_->Now() - config_.certify_cpu_time;
-                  tracer_->Add({.name = "certifier.intake_wait",
-                                .category = "certifier",
-                                .pid = obs::kCertifierPid,
-                                .tid = static_cast<int64_t>(txn),
-                                .start = enqueued,
-                                .duration = service_start - enqueued,
-                                .txn = txn});
-                  tracer_->Add({.name = "certifier.certify",
-                                .category = "certifier",
-                                .pid = obs::kCertifierPid,
-                                .tid = static_cast<int64_t>(txn),
-                                .start = service_start,
-                                .duration = config_.certify_cpu_time,
-                                .txn = txn});
-                }
-              });
+  lane(first).cpu.Submit(
+      config_.certify_cpu_time,
+      [this, first, enqueued, ws = std::move(ws)]() mutable {
+        const TxnId id = ws.txn_id;
+        OnVote(first, std::move(ws));
+        if (tracer_ != nullptr && !muted_) {
+          // The single-server FIFO CPU served this writeset for exactly
+          // certify_cpu_time at the end of the interval; everything
+          // before that was intake queueing.
+          const TimePoint service_start =
+              rt_->Now() - config_.certify_cpu_time;
+          tracer_->Add({.name = "certifier.intake_wait",
+                        .category = "certifier",
+                        .pid = obs::kCertifierPid,
+                        .tid = static_cast<int64_t>(id),
+                        .start = enqueued,
+                        .duration = service_start - enqueued,
+                        .txn = id});
+          tracer_->Add({.name = "certifier.certify",
+                        .category = "certifier",
+                        .pid = obs::kCertifierPid,
+                        .tid = static_cast<int64_t>(id),
+                        .start = service_start,
+                        .duration = config_.certify_cpu_time,
+                        .txn = id});
+        }
+      });
 }
 
 void Certifier::ShedSubmission(const WriteSet& ws) {
@@ -116,6 +189,71 @@ void Certifier::ShedSubmission(const WriteSet& ws) {
   decision_cb_(ws.origin, decision);
 }
 
+void Certifier::OnVote(ShardId lane_id, WriteSet ws) {
+  // Idempotence: a transaction re-submitted after a certifier failover
+  // (or a duplicated message) gets its original decision.
+  if (auto it = decided_.find(ws.txn_id); it != decided_.end()) {
+    if (!muted_) decision_cb_(ws.origin, it->second);
+    return;
+  }
+  auto& queue = lane(lane_id).queue;
+  if (queue.empty()) {
+    Decide(std::move(ws), {&lane_id, 1});
+    return;
+  }
+  // Behind an undecided cross-shard transaction: wait in line, unless the
+  // original of this submission already does.
+  for (const auto& queued : queue) {
+    if (queued.first == ws.txn_id) return;
+  }
+  const TxnId txn = ws.txn_id;
+  queue.emplace_back(txn, std::move(ws));
+}
+
+void Certifier::OnCrossShardVote(ShardId lane_id, TxnId txn) {
+  auto it = cross_shard_.find(txn);
+  SCREP_CHECK_MSG(it != cross_shard_.end(), "vote for unknown txn " << txn);
+  lane(lane_id).queue.emplace_back(txn, std::nullopt);
+  if (--it->second.votes_outstanding > 0) return;
+  DecideQueued();
+}
+
+void Certifier::DecideQueued() {
+  // Each decision pops queue heads and may unblock the next, so sweep
+  // until a full pass makes no progress.
+  bool progress = true;
+  while (progress) {
+    progress = false;
+    for (ShardId s = 0; s < lane_count(); ++s) {
+      auto& queue = lane(s).queue;
+      if (queue.empty()) continue;
+      if (queue.front().second.has_value()) {
+        // A single-lane transaction decides as soon as it is at the head.
+        WriteSet ws = std::move(*queue.front().second);
+        queue.pop_front();
+        Decide(std::move(ws), {&s, 1});
+        progress = true;
+        continue;
+      }
+      auto it = cross_shard_.find(queue.front().first);
+      SCREP_CHECK(it != cross_shard_.end());
+      if (it->second.votes_outstanding > 0) continue;
+      const std::vector<ShardId>& lanes = it->second.lanes;
+      if (!std::all_of(lanes.begin(), lanes.end(), [&](ShardId t) {
+            const auto& q = lane(t).queue;
+            return !q.empty() && q.front().first == it->first;
+          })) {
+        continue;
+      }
+      CrossShardTxn pending = std::move(it->second);
+      cross_shard_.erase(it);
+      for (ShardId t : pending.lanes) lane(t).queue.pop_front();
+      Decide(std::move(pending.ws), pending.lanes);
+      progress = true;
+    }
+  }
+}
+
 void Certifier::EmitVerdict(const WriteSet& ws, bool commit,
                             const char* reason, DbVersion conflict_version,
                             TxnId conflict_txn) {
@@ -128,8 +266,10 @@ void Certifier::EmitVerdict(const WriteSet& ws, bool commit,
   e.snapshot = ws.snapshot_version;
   e.committed = commit;
   e.read_only = false;
+  e.shard_snapshots = ws.shard_snapshots;
   if (commit) {
     e.commit_version = ws.commit_version;
+    e.shard_versions = ws.shard_versions;
   } else {
     e.detail = reason;
     e.conflict_version = conflict_version;
@@ -140,138 +280,161 @@ void Certifier::EmitVerdict(const WriteSet& ws, bool commit,
 
 void Certifier::RecordDecision(const CertDecision& decision) {
   decided_[decision.txn_id] = decision;
-  decided_log_.emplace_back(v_commit_, decision.txn_id);
+  decided_log_.emplace_back(certified_, decision.txn_id);
   // Retire decisions a full conflict window old: a transaction
   // re-submitted that long after its decision would be window-aborted
   // anyway, so idempotence only needs the in-window tail.
-  const DbVersion horizon = static_cast<DbVersion>(config_.conflict_window);
+  const auto horizon = static_cast<int64_t>(config_.conflict_window);
   while (!decided_log_.empty() &&
-         v_commit_ - decided_log_.front().first > horizon) {
+         certified_ - decided_log_.front().first > horizon) {
     decided_.erase(decided_log_.front().second);
     decided_log_.pop_front();
   }
 }
 
-void Certifier::Certify(WriteSet ws) {
-  // Idempotence: a transaction re-submitted after a certifier failover
-  // (or a duplicated message) gets its original decision.
-  if (auto it = decided_.find(ws.txn_id); it != decided_.end()) {
-    if (!muted_) decision_cb_(ws.origin, it->second);
-    return;
-  }
+void Certifier::Reject(const WriteSet& ws, const char* reason,
+                       DbVersion conflict_version, TxnId conflict_txn) {
+  ++aborts_;
+  EmitVerdict(ws, /*commit=*/false, reason, conflict_version, conflict_txn);
+  CertDecision decision{ws.txn_id, /*commit=*/false, kNoVersion};
+  RecordDecision(decision);
+  if (!muted_) decision_cb_(ws.origin, decision);
+}
+
+void Certifier::Decide(WriteSet ws, std::span<const ShardId> touched) {
   // Forward to the standby BEFORE any decision can be announced, so the
   // standby's deterministic state always covers everything the replicas
   // may have observed (synchronous state-machine replication).
   if (forward_cb_) forward_cb_(ws);
-  // Conservative abort when the snapshot predates the retained window.
-  const DbVersion window_start =
-      recent_.empty() ? 0 : recent_.front()->commit_version - 1;
-  if (ws.snapshot_version < window_start) {
+  // Conservative abort when any touched lane's retained window no longer
+  // covers the transaction's snapshot in that lane.
+  for (ShardId s : touched) {
+    const Lane& l = lane(s);
+    const DbVersion snapshot = SnapshotIn(ws, s);
+    const DbVersion window_start =
+        l.recent.empty() ? 0 : l.recent.front()->commit_version - 1;
+    if (snapshot >= window_start) continue;
     ++window_aborts_;
-    ++aborts_;
     if (!muted_) {
       if (ctr_aborts_window_ != nullptr) ctr_aborts_window_->Increment();
       SCREP_LOG(kWarn) << "[certifier] conservative window abort of txn "
-                       << ws.txn_id << ": snapshot " << ws.snapshot_version
-                       << " predates the retained window (starts at "
-                       << window_start << ", conflict_window="
-                       << config_.conflict_window << ")";
+                       << ws.txn_id << ": lane " << s << " snapshot "
+                       << snapshot << " predates the retained window "
+                       << "(starts at " << window_start
+                       << ", conflict_window=" << config_.conflict_window
+                       << ")";
     }
-    EmitVerdict(ws, /*commit=*/false, "window", kNoVersion, 0);
-    CertDecision decision{ws.txn_id, /*commit=*/false, kNoVersion};
-    RecordDecision(decision);
-    if (!muted_) decision_cb_(ws.origin, decision);
+    Reject(ws, "window", kNoVersion, 0);
     return;
   }
-  // First-committer-wins: conflict with any writeset committed after this
-  // transaction's snapshot aborts it.  Serializable mode also aborts
-  // read-write conflicts (this transaction read data a concurrent
-  // committed transaction wrote).  The indexed path looks each written /
-  // read key up in the conflict index — O(|writeset|) — and reports the
-  // newest conflicting version, exactly what the oracle's newest-first
-  // window rescan reports.
+  // First-committer-wins across every touched lane: conflict with any
+  // writeset committed after this transaction's snapshot aborts it.
+  // Serializable mode also aborts read-write conflicts (this transaction
+  // read data a concurrent committed transaction wrote).  Each lane
+  // reports its newest conflict; the indexed path looks each written /
+  // read key up in the lane's conflict index — O(|writeset|) — and
+  // reports exactly what the oracle's newest-first window rescan reports
+  // (foreign-lane keys simply never hit).  Lane versions are
+  // incomparable, so across lanes "newest" is resolved by the commit
+  // sequence number stored with each entry; on a tie (one committed
+  // cross-shard transaction hitting through several lanes), and within a
+  // lane on a same-version hit, the write-write classification wins,
+  // matching the oracle's per-writeset check order.
   const bool serializable =
       config_.mode == CertificationMode::kSerializable;
-  bool ww = false, rw = false;
+  bool found = false, ww = false;
+  int64_t best_seq = -1;
   DbVersion conflict_version = kNoVersion;
   TxnId conflict_txn = 0;
-  if (config_.linear_scan_oracle) {
-    // recent_ is ascending by version: scan from the back and stop at
-    // the snapshot; the first conflict found is the newest.
-    for (auto it = recent_.rbegin(); it != recent_.rend(); ++it) {
-      const WriteSet& committed = **it;
-      if (committed.commit_version <= ws.snapshot_version) break;
-      ww = ws.ConflictsWith(committed);
-      rw = serializable && ws.ReadsConflictWith(committed);
-      if (ww || rw) {
-        conflict_version = committed.commit_version;
-        conflict_txn = committed.txn_id;
-        break;
+  for (ShardId s : touched) {
+    Lane& l = lane(s);
+    const DbVersion snapshot = SnapshotIn(ws, s);
+    bool lane_found = false, lane_ww = false;
+    DbVersion lane_version = kNoVersion;
+    TxnId lane_txn = 0;
+    if (config_.linear_scan_oracle) {
+      // recent is ascending by version: scan from the back and stop at
+      // the snapshot; the first conflict found is the newest.
+      for (auto it = l.recent.rbegin(); it != l.recent.rend(); ++it) {
+        const WriteSet& committed = **it;
+        if (committed.commit_version <= snapshot) break;
+        const bool hit_ww = ws.ConflictsWith(committed);
+        if (hit_ww || (serializable && ws.ReadsConflictWith(committed))) {
+          lane_found = true;
+          lane_ww = hit_ww;
+          lane_version = committed.commit_version;
+          lane_txn = committed.txn_id;
+          break;
+        }
+      }
+    } else {
+      CommittedKeyIndex::Hit write_hit, read_hit;
+      const bool has_write =
+          l.index.LatestWriteConflict(ws, snapshot, &write_hit);
+      const bool has_read =
+          serializable && l.index.LatestReadConflict(ws, snapshot, &read_hit);
+      if (has_write || has_read) {
+        lane_found = true;
+        lane_ww = has_write && write_hit.version >= read_hit.version;
+        const CommittedKeyIndex::Hit& hit = lane_ww ? write_hit : read_hit;
+        lane_version = hit.version;
+        lane_txn = hit.txn;
       }
     }
-  } else {
-    CommittedKeyIndex::Hit write_hit, read_hit;
-    const bool has_write =
-        conflict_index_.LatestWriteConflict(ws, ws.snapshot_version,
-                                            &write_hit);
-    const bool has_read =
-        serializable && conflict_index_.LatestReadConflict(
-                            ws, ws.snapshot_version, &read_hit);
-    if (has_write || has_read) {
-      // Attribute the abort to the newest conflicting writeset; when it
-      // conflicts both ways the write-write conflict wins (matching the
-      // oracle's per-writeset check order).
-      if (has_write && write_hit.version >= read_hit.version) {
-        ww = true;
-        rw = has_read && read_hit.version == write_hit.version;
-        conflict_version = write_hit.version;
-        conflict_txn = write_hit.txn;
-      } else {
-        rw = true;
-        conflict_version = read_hit.version;
-        conflict_txn = read_hit.txn;
-      }
+    if (!lane_found) continue;
+    const int64_t lane_seq =
+        touched.size() == 1
+            ? 0
+            : l.recent_seq[static_cast<size_t>(
+                  lane_version - l.recent.front()->commit_version)];
+    if (!found || lane_seq > best_seq || (lane_seq == best_seq && lane_ww)) {
+      found = true;
+      ww = lane_ww;
+      best_seq = lane_seq;
+      conflict_version = lane_version;
+      conflict_txn = lane_txn;
     }
   }
-  if (ww || rw) {
-    ++aborts_;
-    if (!ww && rw) ++rw_aborts_;
+  if (found) {
+    if (!ww) ++rw_aborts_;
     if (!muted_) {
-      if (!ww && rw) {
-        if (ctr_aborts_rw_ != nullptr) ctr_aborts_rw_->Increment();
-      } else if (ctr_aborts_ww_ != nullptr) {
-        ctr_aborts_ww_->Increment();
-      }
+      obs::Counter* ctr = ww ? ctr_aborts_ww_ : ctr_aborts_rw_;
+      if (ctr != nullptr) ctr->Increment();
       SCREP_LOG(kDebug) << "[certifier] certification abort of txn "
                         << ws.txn_id << " from replica " << ws.origin
                         << " (snapshot " << ws.snapshot_version << "): "
                         << (ww ? "write-write" : "read-write")
                         << " conflict with committed version "
-                        << conflict_version;
+                        << conflict_version << " (txn " << conflict_txn
+                        << ")";
     }
-    EmitVerdict(ws, /*commit=*/false, (!ww && rw) ? "rw" : "ww",
-                conflict_version, conflict_txn);
-    CertDecision decision{ws.txn_id, /*commit=*/false, kNoVersion};
-    RecordDecision(decision);
-    if (!muted_) decision_cb_(ws.origin, decision);
+    Reject(ws, ww ? "ww" : "rw", conflict_version, conflict_txn);
     return;
   }
-  // Commit: assign the next version in the global total order, then
-  // freeze the writeset — one immutable object shared by the conflict
-  // window, the force batch, every per-target refresh batch and the
-  // proxies' apply queues.
-  ws.commit_version = ++v_commit_;
+  // Commit: assign the next version in every touched lane, atomically —
+  // at K = 1 the next version in the global total order.  The scalar
+  // commit_version is the lowest-numbered touched lane's version; at
+  // K > 1 shard_versions carries them all.  Then freeze the writeset —
+  // one immutable object shared by the conflict window (single lane),
+  // the force batch, every per-target refresh batch and the proxies'
+  // apply queues.
   ++certified_;
+  ws.shard_versions.clear();
+  ws.commit_version = lane(touched.front()).v_commit + 1;
+  for (ShardId s : touched) {
+    const DbVersion v = ++lane(s).v_commit;
+    if (sharded()) ws.shard_versions.emplace_back(s, v);
+  }
+  if (touched.size() > 1) {
+    ++sequenced_;
+    if (ctr_sequenced_ != nullptr) ctr_sequenced_->Increment();
+  }
   EmitVerdict(ws, /*commit=*/true, nullptr, kNoVersion, 0);
   if (!muted_ && ctr_certified_ != nullptr) ctr_certified_->Increment();
-  RecordDecision(CertDecision{ws.txn_id, /*commit=*/true, ws.commit_version});
+  CertDecision decision{ws.txn_id, /*commit=*/true, ws.commit_version};
+  decision.shard_versions = ws.shard_versions;
+  RecordDecision(decision);
   WriteSetRef frozen = std::make_shared<const WriteSet>(std::move(ws));
-  recent_.push_back(frozen);
-  if (!config_.linear_scan_oracle) conflict_index_.Insert(*recent_.back());
-  while (recent_.size() > config_.conflict_window) {
-    if (!config_.linear_scan_oracle) conflict_index_.Erase(*recent_.front());
-    recent_.pop_front();
-  }
   if (eager_) {
     eager_tracker_.OnCertified(frozen->txn_id);
     eager_origins_[frozen->txn_id] = frozen->origin;
@@ -281,35 +444,65 @@ void Certifier::Certify(WriteSet ws) {
     // group-commit force can span the durability wait.
     certify_done_at_[frozen->txn_id] = rt_->Now();
   }
-  MakeDurableAndAnnounce(std::move(frozen));
+  if (touched.size() == 1) {
+    Install(touched.front(), frozen);
+    QueueForce(touched.front(), std::move(frozen));
+    return;
+  }
+  // Cross-shard: each touched lane windows and logs the sub-writeset of
+  // its own tables, stamped in its own version space; the full writeset
+  // is announced once every lane's force has landed (joint durability).
+  joint_[frozen->txn_id] = {static_cast<int>(touched.size()), frozen};
+  for (const auto& [s, version] : frozen->shard_versions) {
+    WriteSet sub = map_->SubWriteSet(*frozen, s);
+    sub.snapshot_version = SnapshotIn(*frozen, s);
+    sub.commit_version = version;
+    WriteSetRef frozen_sub = std::make_shared<const WriteSet>(std::move(sub));
+    Install(s, frozen_sub);
+    QueueForce(s, std::move(frozen_sub));
+  }
 }
 
-void Certifier::MakeDurableAndAnnounce(WriteSetRef ws) {
+void Certifier::Install(ShardId lane_id, const WriteSetRef& ws) {
+  Lane& l = lane(lane_id);
+  l.recent.push_back(ws);
+  if (sharded()) l.recent_seq.push_back(certified_);
+  if (!config_.linear_scan_oracle) l.index.Insert(*ws);
+  while (l.recent.size() > config_.conflict_window) {
+    if (!config_.linear_scan_oracle) l.index.Erase(*l.recent.front());
+    l.recent.pop_front();
+    if (sharded()) l.recent_seq.pop_front();
+  }
+}
+
+void Certifier::QueueForce(ShardId lane_id, WriteSetRef ws) {
   // Group commit: batch decisions while a force is in flight; the next
   // force covers the whole batch with a single disk write.
-  force_batch_.push_back(std::move(ws));
-  if (force_in_flight_) return;
-  force_in_flight_ = true;
-  ForceNext();
+  Lane& l = lane(lane_id);
+  l.force_batch.push_back(std::move(ws));
+  if (l.force_in_flight) return;
+  l.force_in_flight = true;
+  ForceNext(lane_id);
 }
 
-void Certifier::ForceNext() {
+void Certifier::ForceNext(ShardId lane_id) {
+  Lane& l = lane(lane_id);
   std::vector<WriteSetRef> batch;
   if (config_.max_force_batch > 0 &&
-      force_batch_.size() > config_.max_force_batch) {
+      l.force_batch.size() > config_.max_force_batch) {
     // Capped group commit: take the oldest max_force_batch writesets (in
-    // commit-version order) and leave the rest for the next force.
-    const auto split = force_batch_.begin() +
+    // version order) and leave the rest for the next force.
+    const auto split = l.force_batch.begin() +
                        static_cast<std::ptrdiff_t>(config_.max_force_batch);
-    batch.assign(force_batch_.begin(), split);
-    force_batch_.erase(force_batch_.begin(), split);
+    batch.assign(l.force_batch.begin(), split);
+    l.force_batch.erase(l.force_batch.begin(), split);
   } else {
-    batch.swap(force_batch_);
+    batch.swap(l.force_batch);
   }
   const TimePoint force_start = rt_->Now();
-  disk_.Submit(
+  l.disk.Submit(
       config_.log_force_time,
-      [this, batch = std::move(batch), force_start]() {
+      [this, lane_id, batch = std::move(batch), force_start]() {
         const auto batch_size = static_cast<int64_t>(batch.size());
         if (!muted_) {
           if (ctr_forces_ != nullptr) ctr_forces_->Increment();
@@ -331,24 +524,32 @@ void Certifier::ForceNext() {
                           .arg_value = batch_size});
           }
         }
-        if (config_.refresh_batching) {
-          // Durability + decisions per writeset (in version order), then
-          // one coalesced refresh message per target for the whole batch.
-          for (const WriteSetRef& ws : batch) {
-            wal_.Append(*ws, /*force=*/true);
-            AnnounceDecision(*ws);
+        Lane& forced = lane(lane_id);
+        for (const WriteSetRef& logged : batch) {
+          forced.wal.Append(*logged, /*force=*/true);
+          const WriteSetRef* durable = &logged;
+          WriteSetRef full;
+          if (auto it = joint_.find(logged->txn_id); it != joint_.end()) {
+            // A cross-shard commit announces only once its force
+            // completed in EVERY touched lane.
+            if (--it->second.first > 0) continue;
+            full = std::move(it->second.second);
+            joint_.erase(it);
+            durable = &full;
           }
-          AnnounceRefreshBatches(batch);
-        } else {
-          for (const WriteSetRef& ws : batch) {
-            wal_.Append(*ws, /*force=*/true);
-            Announce(ws);
+          // Refresh batching: decisions per writeset (in version order)
+          // now, then one coalesced refresh message per target below.
+          if (config_.refresh_batching) {
+            AnnounceDecision(**durable);
+          } else {
+            Announce(*durable);
           }
         }
-        if (!force_batch_.empty()) {
-          ForceNext();
+        if (config_.refresh_batching) AnnounceRefreshBatches(batch);
+        if (!forced.force_batch.empty()) {
+          ForceNext(lane_id);
         } else {
-          force_in_flight_ = false;
+          forced.force_in_flight = false;
         }
       });
 }
@@ -359,24 +560,36 @@ void Certifier::Announce(const WriteSetRef& ws) {
   for (ReplicaId r = 0; r < replica_count_; ++r) {
     if (r == ws->origin) continue;
     if (replica_down_[static_cast<size_t>(r)]) continue;  // catches up later
-    SendRefresh(r, ws);
+    if (!sharded()) {
+      SendRefresh(0, r, ws);
+      continue;
+    }
+    // Filtered to hosting replicas: each target gets the writeset exactly
+    // once, on the lowest-numbered touched lane it hosts (its proxy
+    // ingests it into every touched hosted stream).
+    for (const auto& [s, version] : ws->shard_versions) {
+      (void)version;
+      if (!HostsShard(hosted_, r, s)) continue;
+      SendRefresh(s, r, ws);
+      break;
+    }
   }
 }
 
-void Certifier::SendRefresh(ReplicaId replica, const WriteSetRef& ws) {
-  if (config_.refresh_credit_window == 0) {
-    refresh_cb_(replica, RefreshBatch{{ws}});
-    return;
-  }
+void Certifier::SendRefresh(ShardId lane_id, ReplicaId replica,
+                            const WriteSetRef& ws) {
+  Lane& l = lane(lane_id);
   const auto idx = static_cast<size_t>(replica);
-  // Order preservation: once anything is deferred for this replica,
-  // everything newer must queue behind it.
-  if (!deferred_refresh_[idx].empty() || refresh_credits_[idx] <= 0) {
-    deferred_refresh_[idx].push_back(ws);
-    return;
+  if (config_.refresh_credit_window > 0) {
+    // Order preservation: once anything is deferred for this replica,
+    // everything newer must queue behind it.
+    if (!l.deferred[idx].empty() || l.credits[idx] <= 0) {
+      l.deferred[idx].push_back(ws);
+      return;
+    }
+    --l.credits[idx];
   }
-  --refresh_credits_[idx];
-  refresh_cb_(replica, RefreshBatch{{ws}});
+  refresh_cb_(replica, RefreshBatch{{ws}, lane_id});
 }
 
 void Certifier::AnnounceDecision(const WriteSet& ws) {
@@ -395,12 +608,16 @@ void Certifier::AnnounceDecision(const WriteSet& ws) {
     }
   }
   CertDecision decision{ws.txn_id, /*commit=*/true, ws.commit_version};
+  decision.shard_versions = ws.shard_versions;
   decision_cb_(ws.origin, decision);
 }
 
 void Certifier::AnnounceRefreshBatches(
     const std::vector<WriteSetRef>& batch) {
   if (muted_) return;
+  // Single lane only: ReplicatedSystem::Create() refuses refresh batching
+  // at K > 1.
+  Lane& l = lane(0);
   const bool credited = config_.refresh_credit_window > 0;
   for (ReplicaId r = 0; r < replica_count_; ++r) {
     const auto idx = static_cast<size_t>(r);
@@ -411,51 +628,56 @@ void Certifier::AnnounceRefreshBatches(
       // Each writeset in the coalesced batch consumes one credit; the
       // overflow is deferred in version order behind anything already
       // deferred.
-      if (credited && (!deferred_refresh_[idx].empty() ||
-                       refresh_credits_[idx] <= 0)) {
-        deferred_refresh_[idx].push_back(ws);
+      if (credited && (!l.deferred[idx].empty() || l.credits[idx] <= 0)) {
+        l.deferred[idx].push_back(ws);
         continue;
       }
-      if (credited) --refresh_credits_[idx];
+      if (credited) --l.credits[idx];
       refresh.writesets.push_back(ws);
     }
     if (!refresh.writesets.empty()) refresh_cb_(r, refresh);
   }
 }
 
-void Certifier::OnCreditReturned(ReplicaId replica, int credits) {
+void Certifier::OnCreditReturned(ReplicaId replica, int credits,
+                                 ShardId lane_id) {
   if (config_.refresh_credit_window == 0) return;
   SCREP_CHECK(replica >= 0 && replica < replica_count_);
+  SCREP_CHECK(lane_id >= 0 && lane_id < lane_count());
+  Lane& l = lane(lane_id);
   const auto idx = static_cast<size_t>(replica);
   // Cap at the window: duplicate-tolerant (a proxy returning a credit for
   // a writeset the channel duplicated can never inflate the window).
-  refresh_credits_[idx] =
-      std::min(refresh_credits_[idx] + credits,
+  l.credits[idx] =
+      std::min(l.credits[idx] + credits,
                static_cast<int64_t>(config_.refresh_credit_window));
   if (muted_ || replica_down_[idx]) return;
-  auto& deferred = deferred_refresh_[idx];
+  auto& deferred = l.deferred[idx];
   if (deferred.empty()) return;
   // Drain as ONE coalesced batch up to the credits available — under
   // sustained pressure the flow-control path batches fan-out by itself.
   RefreshBatch refresh;
-  while (!deferred.empty() && refresh_credits_[idx] > 0) {
+  refresh.shard = lane_id;
+  while (!deferred.empty() && l.credits[idx] > 0) {
     refresh.writesets.push_back(std::move(deferred.front()));
     deferred.pop_front();
-    --refresh_credits_[idx];
+    --l.credits[idx];
   }
   if (!refresh.writesets.empty()) refresh_cb_(replica, refresh);
 }
 
 void Certifier::MarkReplicaDown(ReplicaId replica) {
   SCREP_CHECK(replica >= 0 && replica < replica_count_);
-  if (replica_down_[static_cast<size_t>(replica)]) return;
-  replica_down_[static_cast<size_t>(replica)] = true;
+  const auto idx = static_cast<size_t>(replica);
+  if (replica_down_[idx]) return;
+  replica_down_[idx] = true;
   if (config_.refresh_credit_window > 0) {
     // In-flight refreshes and deferred backlog are moot: the replica
     // catches up from the durable log on recovery, so its window resets.
-    deferred_refresh_[static_cast<size_t>(replica)].clear();
-    refresh_credits_[static_cast<size_t>(replica)] =
-        static_cast<int64_t>(config_.refresh_credit_window);
+    for (auto& l : lanes_) {
+      l->deferred[idx].clear();
+      l->credits[idx] = static_cast<int64_t>(config_.refresh_credit_window);
+    }
   }
   if (!eager_) return;
   int active = 0;
@@ -475,13 +697,15 @@ void Certifier::MarkReplicaDown(ReplicaId replica) {
 
 void Certifier::MarkReplicaUp(ReplicaId replica) {
   SCREP_CHECK(replica >= 0 && replica < replica_count_);
-  if (!replica_down_[static_cast<size_t>(replica)]) return;
-  replica_down_[static_cast<size_t>(replica)] = false;
+  const auto idx = static_cast<size_t>(replica);
+  if (!replica_down_[idx]) return;
+  replica_down_[idx] = false;
   if (config_.refresh_credit_window > 0) {
     // The recovered replica's apply pipeline restarted empty; any credit
     // returns still in flight from before the crash will be capped.
-    refresh_credits_[static_cast<size_t>(replica)] =
-        static_cast<int64_t>(config_.refresh_credit_window);
+    for (auto& l : lanes_) {
+      l->credits[idx] = static_cast<int64_t>(config_.refresh_credit_window);
+    }
   }
   if (!eager_) return;
   int active = 0;
@@ -498,11 +722,13 @@ bool Certifier::IsReplicaDown(ReplicaId replica) const {
 Status Certifier::FetchSince(
     DbVersion from,
     const std::function<void(const WriteSet&)>& sink) const {
-  if (from >= v_commit_) return Status::OK();
+  SCREP_CHECK_MSG(!sharded(), "catch-up is single-lane only");
+  const Lane& l = *lanes_.front();
+  if (from >= l.v_commit) return Status::OK();
   const DbVersion window_start =
-      recent_.empty() ? v_commit_ + 1 : recent_.front()->commit_version;
+      l.recent.empty() ? l.v_commit + 1 : l.recent.front()->commit_version;
   if (from + 1 >= window_start) {
-    for (const WriteSetRef& ws : recent_) {
+    for (const WriteSetRef& ws : l.recent) {
       if (ws->commit_version > from) sink(*ws);
     }
     return Status::OK();
@@ -510,7 +736,7 @@ Status Certifier::FetchSince(
   // The window no longer covers the requested range: decode the durable
   // log (recovery is rare, so the full scan is acceptable).
   std::vector<WriteSet> log;
-  SCREP_RETURN_NOT_OK(wal_.ReadAll(&log));
+  SCREP_RETURN_NOT_OK(l.wal.ReadAll(&log));
   for (const WriteSet& ws : log) {
     if (ws.commit_version > from) sink(ws);
   }

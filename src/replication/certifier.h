@@ -15,6 +15,45 @@
 // In the eager configuration the certifier additionally counts per-replica
 // commit notifications and tells the originating replica when a
 // transaction is *globally* committed (§IV-D).
+//
+// Lanes.  The certifier's state is a vector of K lanes
+// (CertifierConfig::shard_lanes).  Each lane owns its own CPU and disk,
+// CommittedKeyIndex over a conflict window, WAL force stream, decide
+// queue, per-replica refresh credits and a dense version sequence.  K = 1
+// (the default) is the paper's single certification stream: one lane
+// whose versions are the global commit order.  K > 1 is partitioned
+// certification (after Sutra & Shapiro's fault-tolerant partial
+// replication, in which full replication is the one-partition case):
+// EnableSharding() supplies the table -> lane ShardMap and the replicas'
+// hosted lanes, and lane s issues the dense sequence V_s = 1, 2, ... over
+// the writesets touching shard s.
+//
+// A transaction touching one lane is decided entirely within it.  A
+// cross-shard transaction goes through the sequencer:
+//
+//   1. The submission enters every touched lane's CPU FIFO (its *vote*),
+//      modeling the parallel per-shard conflict work.
+//   2. It is *decided* only when every vote has completed and it is at
+//      the head of every touched lane's decide queue.  Head-of-all-queues
+//      makes the decision order deterministic and conflict-safe: no later
+//      submission can be certified in any touched shard before this one's
+//      outcome is installed there.  (The earliest undecided transaction
+//      is always at all of its heads, so the protocol cannot deadlock.)
+//   3. On commit it receives a *joint commit version* — the next version
+//      in each touched lane, assigned atomically — and is announced only
+//      once every touched lane's WAL force has completed.
+//
+// Idempotence, for every K: a re-submitted transaction that is already
+// decided gets its recorded decision replayed; one whose original is
+// still pending is dropped (the pending decision reaches the origin
+// once).  The state is judged when the duplicate is handled — on arrival
+// for a cross-shard transaction, after its CPU service for a single-lane
+// one — so at K = 1, where the FIFO CPU always decides the original
+// first, a duplicate is always served a replay.
+//
+// ReplicatedSystem::Create() refuses at K > 1: eager global commits, the
+// standby certifier, bounded staleness and refresh batching; replica
+// crash/recovery (MarkReplicaDown/Up, FetchSince) are single-lane only.
 
 #ifndef SCREP_REPLICATION_CERTIFIER_H_
 #define SCREP_REPLICATION_CERTIFIER_H_
@@ -22,6 +61,9 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -29,6 +71,7 @@
 #include "obs/observability.h"
 #include "replication/conflict_index.h"
 #include "replication/message.h"
+#include "replication/shard_map.h"
 #include "sim/resource.h"
 #include "runtime/runtime.h"
 #include "storage/wal.h"
@@ -91,21 +134,21 @@ struct CertifierConfig {
   /// load queues the replicas' apply lanes and inflates local update
   /// commit latency (bench/saturation --batch-sweep measures this).
   size_t max_force_batch = 0;
-  /// Partitioned certification: number of certifier lanes (K).  1 (the
-  /// default) runs this class — the paper's single certification stream,
-  /// byte-identical to every pre-sharding configuration.  K > 1 makes
-  /// the system construct a ShardedCertifier (sharded_certifier.h)
-  /// instead: K lanes sharded by table, each with its own conflict
-  /// window, WAL force stream and refresh fan-out, plus a sequencer for
-  /// cross-shard transactions.
+  /// Number of certifier lanes (K).  1 (the default) is the paper's
+  /// single certification stream.  K > 1 shards the tables over K lanes,
+  /// each with its own conflict window, WAL force stream and refresh
+  /// fan-out, plus a sequencer for cross-shard transactions (see the
+  /// file comment).  The other knobs apply per lane.
   int shard_lanes = 1;
 };
 
-/// Central certification service.
+/// Central certification service: K lanes, K = config.shard_lanes.
 class Certifier {
  public:
   using DecisionCallback =
       std::function<void(ReplicaId origin, const CertDecision&)>;
+  /// Refresh fan-out; `batch.shard` names the lane stream it travels on
+  /// (always 0 at K = 1).
   using RefreshCallback =
       std::function<void(ReplicaId target, const RefreshBatch&)>;
   using GlobalCommitCallback =
@@ -114,6 +157,13 @@ class Certifier {
 
   Certifier(runtime::Runtime* rt, CertifierConfig config, int replica_count,
             bool eager);
+
+  /// K > 1: the table -> lane map (must have K shards; not owned) and
+  /// each replica's hosted lanes (see HostsShard).  Refresh fan-out for a
+  /// writeset skips replicas hosting none of its lanes.  Required before
+  /// the first submission.
+  void EnableSharding(const ShardMap* map,
+                      std::vector<std::vector<ShardId>> hosted);
 
   /// Wires the decision channel back to replica proxies.
   void SetDecisionCallback(DecisionCallback cb) {
@@ -143,7 +193,9 @@ class Certifier {
   void SetObservability(obs::Observability* obs);
 
   /// Submits an update transaction's writeset for certification.
-  /// `ws.origin` and `ws.snapshot_version` must be filled in.
+  /// `ws.origin` and `ws.snapshot_version` must be filled in; at K > 1
+  /// `ws.shard_snapshots` carries the per-lane snapshot coordinates (a
+  /// missing lane reads as 0 — "saw nothing").
   void SubmitCertification(WriteSet ws);
 
   /// Eager mode: a replica reports having committed `txn` (locally or as
@@ -152,9 +204,10 @@ class Certifier {
   void NotifyReplicaCommitted(TxnId txn);
 
   /// Refresh flow control: `replica` published `credits` refresh
-  /// writesets and frees that much of its window.  Deferred writesets
-  /// drain to it as one coalesced batch, up to the credits available.
-  void OnCreditReturned(ReplicaId replica, int credits);
+  /// writesets of `lane`'s stream and frees that much of its window.
+  /// Deferred writesets drain to it as one coalesced batch, up to the
+  /// credits available.
+  void OnCreditReturned(ReplicaId replica, int credits, ShardId lane = 0);
 
   /// Membership: marks a replica crashed. Refresh fan-out skips it, and in
   /// eager mode pending global commits stop waiting for it (it will catch
@@ -167,19 +220,25 @@ class Certifier {
   /// True when `replica` is currently marked down.
   bool IsReplicaDown(ReplicaId replica) const;
 
-  /// Recovery catch-up: invokes `sink` with every committed writeset with
-  /// commit_version in (from, CommitVersion()], in version order. Serves
-  /// from the in-memory window when possible, otherwise decodes the
-  /// durable log.
+  /// Recovery catch-up (single lane): invokes `sink` with every committed
+  /// writeset with commit_version in (from, CommitVersion()], in version
+  /// order. Serves from the in-memory window when possible, otherwise
+  /// decodes the durable log.
   Status FetchSince(DbVersion from,
                     const std::function<void(const WriteSet&)>& sink) const;
 
-  /// Latest assigned commit version.
-  DbVersion CommitVersion() const { return v_commit_; }
+  /// Latest commit version issued in `lane`'s version space (at K = 1 the
+  /// global commit order).
+  DbVersion CommitVersion(ShardId lane = 0) const {
+    return lanes_[static_cast<size_t>(lane)]->v_commit;
+  }
 
-  /// Distinct (table, key) coordinates currently indexed over the
-  /// conflict window (0 in linear-scan-oracle mode).
-  size_t conflict_index_size() const { return conflict_index_.size(); }
+  int lane_count() const { return static_cast<int>(lanes_.size()); }
+  bool sharded() const { return lanes_.size() > 1; }
+
+  /// Distinct (table, key) coordinates currently indexed over the lanes'
+  /// conflict windows (0 in linear-scan-oracle mode).
+  size_t conflict_index_size() const;
   /// Decisions retained for failover idempotence (bounded by the
   /// conflict window).
   size_t decided_size() const { return decided_.size(); }
@@ -188,46 +247,113 @@ class Certifier {
   int64_t abort_count() const { return aborts_; }
   /// Submissions refused at the intake bound (never certified).
   int64_t shed_count() const { return shed_; }
-  /// Refresh credits currently available for `replica`.
-  int64_t refresh_credits(ReplicaId replica) const {
-    return refresh_credits_[static_cast<size_t>(replica)];
+  /// Cross-shard transactions decided through the sequencer.
+  int64_t sequenced_count() const { return sequenced_; }
+  /// Refresh credits currently available for `replica` on `lane`.
+  int64_t refresh_credits(ReplicaId replica, ShardId lane = 0) const {
+    return lanes_[static_cast<size_t>(lane)]
+        ->credits[static_cast<size_t>(replica)];
   }
-  /// Refresh writesets deferred (awaiting credits) across all replicas.
-  size_t deferred_refresh_total() const {
-    size_t total = 0;
-    for (const auto& q : deferred_refresh_) total += q.size();
-    return total;
-  }
+  /// Refresh writesets deferred (awaiting credits) across all streams.
+  size_t deferred_refresh_total() const;
   /// Aborts caused by read-write conflicts (serializable mode only).
   int64_t rw_abort_count() const { return rw_aborts_; }
   /// Aborts caused by the conflict window being exceeded (should be 0).
   int64_t window_abort_count() const { return window_aborts_; }
 
-  const Wal& wal() const { return wal_; }
-  Resource* cpu() { return &cpu_; }
-  Resource* disk() { return &disk_; }
+  const Wal& wal(ShardId lane = 0) const {
+    return lanes_[static_cast<size_t>(lane)]->wal;
+  }
+  Resource* cpu(ShardId lane = 0) {
+    return &lanes_[static_cast<size_t>(lane)]->cpu;
+  }
+  Resource* disk(ShardId lane = 0) {
+    return &lanes_[static_cast<size_t>(lane)]->disk;
+  }
 
-  /// Writesets certified but still waiting for the in-flight disk force
-  /// (the next group-commit batch) — an instantaneous queue-depth gauge.
-  size_t force_batch_pending() const { return force_batch_.size(); }
+  /// Writesets certified but still waiting for `lane`'s in-flight disk
+  /// force (the next group-commit batch) — a queue-depth gauge.
+  size_t force_batch_pending(ShardId lane = 0) const {
+    return lanes_[static_cast<size_t>(lane)]->force_batch.size();
+  }
 
   bool eager() const { return eager_; }
   int replica_count() const { return replica_count_; }
 
  private:
-  /// Runs after CPU service: the actual certification decision.
-  void Certify(WriteSet ws);
+  struct Lane {
+    Lane(runtime::Runtime* rt, const std::string& name, bool serializable,
+         int replicas, int64_t credit_window)
+        : cpu(rt, name + "-cpu", 1),
+          disk(rt, name + "-disk", 1),
+          index(serializable),
+          credits(static_cast<size_t>(replicas), credit_window),
+          deferred(static_cast<size_t>(replicas)) {}
+
+    Resource cpu;
+    Resource disk;
+    /// Committed writesets of this lane (at K > 1 a cross-shard commit
+    /// contributes its sub-writeset), ascending by lane version, pruned
+    /// to config_.conflict_window.  Frozen references: a single-lane
+    /// commit is the same object the force batch and the refresh fan-out
+    /// carry.
+    std::deque<WriteSetRef> recent;
+    /// K > 1 only: the commit sequence number (certified_) of each entry
+    /// of `recent`, ordering conflict hits reported by different lanes.
+    std::deque<int64_t> recent_seq;
+    /// Keyed index over `recent`: (table, key) -> newest committed write
+    /// (plus per-table ordered maps in serializable mode), making a
+    /// certification O(|writeset|) lookups instead of a window rescan.
+    /// Not maintained in linear-scan-oracle mode.
+    CommittedKeyIndex index;
+    DbVersion v_commit = 0;
+    Wal wal;
+    /// Writesets certified but awaiting the in-flight disk force.
+    std::vector<WriteSetRef> force_batch;
+    bool force_in_flight = false;
+    /// Decide queue: voted but undecided transactions, in arrival order.
+    /// Non-empty only while a cross-shard transaction waits at its head.
+    std::deque<std::pair<TxnId, std::optional<WriteSet>>> queue;
+    /// Refresh flow control (only consulted when refresh_credit_window >
+    /// 0): per-replica credits remaining, and writesets deferred in
+    /// lane-version order until the replica returns credits.
+    std::vector<int64_t> credits;
+    std::vector<std::deque<WriteSetRef>> deferred;
+  };
+
+  /// A cross-shard transaction between submission and decision.
+  struct CrossShardTxn {
+    WriteSet ws;
+    std::vector<ShardId> lanes;
+    int votes_outstanding = 0;
+  };
+
+  Lane& lane(ShardId s) { return *lanes_[static_cast<size_t>(s)]; }
+  /// `ws`'s snapshot in `lane`'s version space.
+  DbVersion SnapshotIn(const WriteSet& ws, ShardId lane) const;
+  /// A single-lane submission finished its CPU service: replay, drop,
+  /// queue behind a cross-shard transaction, or decide.
+  void OnVote(ShardId lane, WriteSet ws);
+  /// One lane's vote for a cross-shard transaction completed.
+  void OnCrossShardVote(ShardId lane, TxnId txn);
+  /// Decides every queued transaction that is ready and at the head of
+  /// all its lanes' queues, until no further progress.
+  void DecideQueued();
+  /// The certification decision over the touched lanes.
+  void Decide(WriteSet ws, std::span<const ShardId> touched);
+  /// Announces and records an abort.
+  void Reject(const WriteSet& ws, const char* reason,
+              DbVersion conflict_version, TxnId conflict_txn);
   /// Records a decision for failover idempotence and retires decisions a
-  /// full conflict window old.
+  /// full conflict window of commits old.
   void RecordDecision(const CertDecision& decision);
-  /// Appends to the durable log via group commit, then announces.  The
-  /// writeset is frozen (immutable, shared) by this point: the force
-  /// batch, the refresh fan-out and the conflict window all reference
-  /// the same object.
-  void MakeDurableAndAnnounce(WriteSetRef ws);
-  /// Forces the pending batch (up to max_force_batch writesets) to
+  /// Adds a committed (sub-)writeset to `lane`'s conflict window.
+  void Install(ShardId lane, const WriteSetRef& ws);
+  /// Appends to `lane`'s durable log via group commit.
+  void QueueForce(ShardId lane, WriteSetRef ws);
+  /// Forces `lane`'s pending batch (up to max_force_batch writesets) to
   /// disk; reschedules itself while decisions keep arriving.
-  void ForceNext();
+  void ForceNext(ShardId lane);
   /// Sends the commit decision + per-writeset refresh fan-out for one
   /// durable writeset (the unbatched announcement path).
   void Announce(const WriteSetRef& ws);
@@ -239,68 +365,53 @@ class Certifier {
   /// Refuses one submission at the intake bound: an immediate
   /// `overloaded` decision, no certification, no standby forward.
   void ShedSubmission(const WriteSet& ws);
-  /// Sends `ws` to `replica` now if a credit is available (or flow
-  /// control is off), otherwise defers it until credits return.
-  void SendRefresh(ReplicaId replica, const WriteSetRef& ws);
+  /// Sends `ws` to `replica` on `lane`'s stream now if a credit is
+  /// available (or flow control is off), otherwise defers it until
+  /// credits return.
+  void SendRefresh(ShardId lane, ReplicaId replica, const WriteSetRef& ws);
+  /// Appends a kCertVerdict event (no-op without an event log or while
+  /// muted — a standby re-decides the identical stream).
+  void EmitVerdict(const WriteSet& ws, bool commit, const char* reason,
+                   DbVersion conflict_version, TxnId conflict_txn);
 
   runtime::Runtime* rt_;
   CertifierConfig config_;
   int replica_count_;
   bool eager_;
 
-  Resource cpu_;
-  Resource disk_;
+  std::vector<std::unique_ptr<Lane>> lanes_;
+  const ShardMap* map_ = nullptr;
+  std::vector<std::vector<ShardId>> hosted_;
 
-  DbVersion v_commit_ = 0;
-  /// Committed writesets, ascending by commit version, for conflict
-  /// checks (pruned to config_.conflict_window).  Frozen references:
-  /// the same objects flow through the force batch and the refresh
-  /// fan-out without being copied again.
-  std::deque<WriteSetRef> recent_;
-  /// Keyed index over `recent_`: (table, key) -> newest committed write
-  /// (plus per-table ordered maps in serializable mode), making a
-  /// certification O(|writeset|) lookups instead of a window rescan.
-  /// Not maintained in linear-scan-oracle mode.
-  CommittedKeyIndex conflict_index_;
-
-  /// Writesets certified but awaiting the in-flight disk force.
-  std::vector<WriteSetRef> force_batch_;
-  bool force_in_flight_ = false;
+  std::unordered_map<TxnId, CrossShardTxn> cross_shard_;
+  /// Cross-shard commits awaiting joint durability: the touched-lane
+  /// forces not yet completed and the full writeset to announce once the
+  /// last one lands (the lanes' force batches carry the sub-writesets).
+  std::unordered_map<TxnId, std::pair<int, WriteSetRef>> joint_;
 
   EagerCommitTracker eager_tracker_;
   std::unordered_map<TxnId, ReplicaId> eager_origins_;
   std::vector<bool> replica_down_;
 
-  /// Refresh flow control (only consulted when refresh_credit_window >
-  /// 0): per-replica credits remaining, and writesets deferred in
-  /// commit-version order until the replica returns credits.
-  std::vector<int64_t> refresh_credits_;
-  std::vector<std::deque<WriteSetRef>> deferred_refresh_;
-
-  Wal wal_;
   int64_t certified_ = 0;
   int64_t aborts_ = 0;
   int64_t window_aborts_ = 0;
   int64_t rw_aborts_ = 0;
   int64_t shed_ = 0;
+  int64_t sequenced_ = 0;
 
   /// Certification is idempotent: re-submissions after a failover get the
   /// original decision back instead of being re-decided.  Bounded: a
-  /// decision is retired once certification has advanced a full conflict
-  /// window past it (`decided_log_` remembers the commit version current
-  /// when each decision was made, in decision order) — failover
-  /// resubmissions arrive within a handful of versions, so in-window
-  /// idempotence is preserved while the map stops growing with run
-  /// length.
+  /// decision is retired once a full conflict window of commits has been
+  /// certified after it (`decided_log_` remembers certified_ when each
+  /// decision was made, in decision order; at K = 1 that is the commit
+  /// version) — failover resubmissions arrive within a handful of
+  /// versions, so in-window idempotence is preserved while the map stops
+  /// growing with run length.
   std::unordered_map<TxnId, CertDecision> decided_;
-  std::deque<std::pair<DbVersion, TxnId>> decided_log_;
+  std::deque<std::pair<int64_t, TxnId>> decided_log_;
 
   bool muted_ = false;
-
-  /// Appends a kCertVerdict event (no-op without an event log or while
-  /// muted — a standby re-decides the identical stream).
-  void EmitVerdict(const WriteSet& ws, bool commit, const char* reason,
-                   DbVersion conflict_version, TxnId conflict_txn);
 
   // Observability (all optional; null until SetObservability).
   obs::Tracer* tracer_ = nullptr;
@@ -314,6 +425,7 @@ class Certifier {
   obs::Counter* ctr_aborts_window_ = nullptr;
   obs::Counter* ctr_forces_ = nullptr;
   obs::Counter* ctr_shed_ = nullptr;
+  obs::Counter* ctr_sequenced_ = nullptr;
   Histogram* batch_size_hist_ = nullptr;
   obs::Gauge* last_batch_gauge_ = nullptr;
 

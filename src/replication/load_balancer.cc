@@ -41,13 +41,13 @@ void LoadBalancer::EnableSharding(const ShardMap* map,
                                   std::vector<std::vector<ShardId>> hosted) {
   SCREP_CHECK(map != nullptr);
   shard_map_ = map;
-  const size_t shards = static_cast<size_t>(map->shard_count());
   hosts_.assign(static_cast<size_t>(replica_count_),
-                std::vector<bool>(shards, true));
-  for (size_t r = 0; r < hosted.size() && r < hosts_.size(); ++r) {
-    if (hosted[r].empty()) continue;  // empty set = hosts everything
-    hosts_[r].assign(shards, false);
-    for (ShardId s : hosted[r]) hosts_[r][static_cast<size_t>(s)] = true;
+                std::vector<bool>(static_cast<size_t>(map->shard_count())));
+  for (ReplicaId r = 0; r < replica_count_; ++r) {
+    for (ShardId s = 0; s < map->shard_count(); ++s) {
+      hosts_[static_cast<size_t>(r)][static_cast<size_t>(s)] =
+          HostsShard(hosted, r, s);
+    }
   }
   policy_.EnableSharding(map->table_to_shard(), map->shard_count());
 }

@@ -158,6 +158,9 @@ struct RoutedRequest {
 /// row image.
 struct RefreshBatch {
   std::vector<WriteSetRef> writesets;
+  /// The certifier lane whose refresh stream carries the batch (0 at
+  /// K = 1).  Routing only: not part of the wire size.
+  int32_t shard = 0;
 
   /// Total wire size (drives the refresh link's per-byte cost).  The
   /// per-writeset sizes come from the frozen writesets' memo, so batch

@@ -657,8 +657,8 @@ void Proxy::FinishShardedApply(TxnId txn) {
     ++refresh_applied_;
     if (ctr_refresh_applied_ != nullptr) ctr_refresh_applied_->Increment();
   }
-  if (apply.credited && sharded_credit_cb_) {
-    sharded_credit_cb_(apply.credit_shard, 1);
+  if (apply.credited && credit_cb_) {
+    credit_cb_(apply.credit_shard, 1);
   }
   if (event_log_ != nullptr && event_log_->enabled()) {
     obs::Event e;
@@ -820,7 +820,7 @@ void Proxy::PublishReady() {
     }
     // Publishing frees the apply-pipeline slot this writeset held:
     // return its refresh credit so the certifier may send the next one.
-    if (apply.credited && credit_cb_) credit_cb_(1);
+    if (apply.credited && credit_cb_) credit_cb_(0, 1);
     if (event_log_ != nullptr && event_log_->enabled()) {
       obs::Event e;
       e.kind = obs::EventKind::kApply;

@@ -97,7 +97,8 @@ class Proxy {
   using CertRequestCallback = std::function<void(const WriteSet&)>;
   using ResponseCallback = std::function<void(const TxnResponse&)>;
   using ReplicaCommittedCallback = std::function<void(TxnId)>;
-  using CreditCallback = std::function<void(int credits)>;
+  /// Refresh credit returns on one certifier lane's stream (0 at K = 1).
+  using CreditCallback = std::function<void(ShardId lane, int credits)>;
 
   Proxy(runtime::Runtime* rt, ReplicaId id, Database* db,
         const sql::TransactionRegistry* registry, ProxyConfig config,
@@ -115,17 +116,12 @@ class Proxy {
   void SetReplicaCommittedCallback(ReplicaCommittedCallback cb) {
     replica_committed_cb_ = std::move(cb);
   }
-  /// Wires refresh flow-control credit returns to the certifier.  Only
-  /// set when the certifier runs with a refresh credit window; unset
-  /// (the default) the proxy accounts no credits at all.
+  /// Wires refresh flow-control credit returns to the certifier: one
+  /// credit per published refresh writeset, on the lane stream the
+  /// certifier sent it on.  Only set when the certifier runs with a
+  /// refresh credit window; unset (the default) the proxy accounts no
+  /// credits at all.
   void SetCreditCallback(CreditCallback cb) { credit_cb_ = std::move(cb); }
-
-  /// Sharded credit returns: one credit per published refresh writeset,
-  /// on the (shard, replica) channel the certifier sent it on.
-  using ShardedCreditCallback = std::function<void(ShardId shard, int credits)>;
-  void SetShardedCreditCallback(ShardedCreditCallback cb) {
-    sharded_credit_cb_ = std::move(cb);
-  }
 
   /// Switches this proxy into sharded (partitioned-certification) mode:
   /// `map` outlives the proxy, `hosted` is the set of shards this
@@ -156,9 +152,9 @@ class Proxy {
   void OnShardedRefreshBatch(ShardId shard, const RefreshBatch& batch) {
     for (const WriteSetRef& ws : batch.writesets) {
       if (!IngestShardedRefresh(ws, shard,
-                                /*credited=*/sharded_credit_cb_ != nullptr) &&
-          sharded_credit_cb_) {
-        sharded_credit_cb_(shard, 1);
+                                /*credited=*/credit_cb_ != nullptr) &&
+          credit_cb_) {
+        credit_cb_(shard, 1);
       }
     }
   }
@@ -198,7 +194,7 @@ class Proxy {
     for (const WriteSetRef& ws : batch.writesets) {
       if (!IngestRefresh(ws, /*credited=*/credit_cb_ != nullptr) &&
           credit_cb_) {
-        credit_cb_(1);
+        credit_cb_(0, 1);
       }
     }
   }
@@ -485,7 +481,6 @@ class Proxy {
   ResponseCallback response_cb_;
   ReplicaCommittedCallback replica_committed_cb_;
   CreditCallback credit_cb_;
-  ShardedCreditCallback sharded_credit_cb_;
 };
 
 }  // namespace screp

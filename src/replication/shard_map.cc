@@ -85,4 +85,11 @@ DbVersion ShardVersionOf(
   return missing;
 }
 
+bool HostsShard(const std::vector<std::vector<ShardId>>& hosted,
+                ReplicaId replica, ShardId shard) {
+  if (hosted.empty()) return true;
+  const auto& set = hosted[static_cast<size_t>(replica)];
+  return set.empty() || std::find(set.begin(), set.end(), shard) != set.end();
+}
+
 }  // namespace screp

@@ -76,6 +76,13 @@ DbVersion ShardVersionOf(
     const std::vector<std::pair<ShardId, DbVersion>>& versions,
     ShardId shard, DbVersion missing = 0);
 
+/// The hosted-shard rule: `hosted[r]` lists replica r's hosted shards.
+/// An empty outer vector (full replication) or an empty per-replica set
+/// means the replica hosts every shard.  ReplicatedSystem::Create()
+/// refuses a non-empty `hosted` that does not list every replica.
+bool HostsShard(const std::vector<std::vector<ShardId>>& hosted,
+                ReplicaId replica, ShardId shard);
+
 }  // namespace screp
 
 #endif  // SCREP_REPLICATION_SHARD_MAP_H_

@@ -24,9 +24,8 @@ Result<std::unique_ptr<ReplicatedSystem>> ReplicatedSystem::Create(
     return Status::InvalidArgument("certifier.shard_lanes must be >= 1");
   }
   if (shard_lanes > 1) {
-    // K > 1 swaps in the ShardedCertifier; combinations whose semantics
-    // assume a single dense version stream are refused outright rather
-    // than silently misbehaving.
+    // Combinations whose semantics assume a single dense version stream
+    // are refused outright rather than silently misbehaving.
     if (eager) {
       return Status::NotSupported(
           "partitioned certification with the eager configuration");
@@ -43,11 +42,31 @@ Result<std::unique_ptr<ReplicatedSystem>> ReplicatedSystem::Create(
       return Status::NotSupported(
           "partitioned certification with refresh batching");
     }
-    for (size_t r = 0; r < config.hosted_shards.size(); ++r) {
-      for (ShardId s : config.hosted_shards[r]) {
+    if (!config.hosted_shards.empty() &&
+        config.hosted_shards.size() !=
+            static_cast<size_t>(config.replica_count)) {
+      return Status::InvalidArgument(
+          "hosted_shards must list every replica");
+    }
+    for (const auto& hosted : config.hosted_shards) {
+      for (ShardId s : hosted) {
         if (s < 0 || s >= shard_lanes) {
           return Status::InvalidArgument("hosted shard out of range");
         }
+      }
+    }
+    for (ShardId s = 0; s < shard_lanes; ++s) {
+      // Every shard needs at least one hosting replica or its stream has
+      // no apply site at all.
+      bool hosted = false;
+      for (ReplicaId r = 0; r < config.replica_count; ++r) {
+        hosted = hosted || HostsShard(config.hosted_shards, r, s);
+      }
+      if (!hosted) return Status::InvalidArgument("unhosted shard");
+    }
+    for (ShardId s : config.table_to_shard) {
+      if (s < 0 || s >= shard_lanes) {
+        return Status::InvalidArgument("table_to_shard entry out of range");
       }
     }
   }
@@ -107,44 +126,19 @@ Result<std::unique_ptr<ReplicatedSystem>> ReplicatedSystem::Create(
         config.table_to_shard.empty()
             ? std::make_unique<ShardMap>(db0->TableCount(), shard_lanes)
             : std::make_unique<ShardMap>(config.table_to_shard, shard_lanes);
-    // Every shard needs at least one hosting replica or its stream has
-    // no apply site at all.
-    if (!config.hosted_shards.empty()) {
-      std::vector<bool> covered(static_cast<size_t>(shard_lanes), false);
-      for (size_t r = 0;
-           r < config.hosted_shards.size() &&
-           r < static_cast<size_t>(config.replica_count);
-           ++r) {
-        if (config.hosted_shards[r].empty()) {
-          covered.assign(static_cast<size_t>(shard_lanes), true);
-          break;
-        }
-        for (ShardId s : config.hosted_shards[r]) {
-          covered[static_cast<size_t>(s)] = true;
-        }
-      }
-      if (config.hosted_shards.size() <
-          static_cast<size_t>(config.replica_count)) {
-        covered.assign(static_cast<size_t>(shard_lanes), true);
-      }
-      for (bool c : covered) {
-        if (!c) return Status::InvalidArgument("unhosted shard");
-      }
-    }
-    system->sharded_certifier_ = std::make_unique<ShardedCertifier>(
-        rt, config.certifier, *system->shard_map_, config.replica_count);
-    system->sharded_certifier_->SetHostedShards(config.hosted_shards);
+  }
+  system->certifier_ = std::make_unique<Certifier>(
+      rt, config.certifier, config.replica_count, eager);
+  if (system->sharded()) {
+    system->certifier_->EnableSharding(system->shard_map_.get(),
+                                       config.hosted_shards);
     for (ReplicaId r = 0; r < config.replica_count; ++r) {
-      std::vector<ShardId> hosted =
-          static_cast<size_t>(r) < config.hosted_shards.size()
-              ? config.hosted_shards[static_cast<size_t>(r)]
-              : std::vector<ShardId>{};
       system->replicas_[static_cast<size_t>(r)]->proxy()->EnableSharding(
-          system->shard_map_.get(), std::move(hosted));
+          system->shard_map_.get(),
+          config.hosted_shards.empty()
+              ? std::vector<ShardId>{}
+              : config.hosted_shards[static_cast<size_t>(r)]);
     }
-  } else {
-    system->certifier_ = std::make_unique<Certifier>(
-        rt, config.certifier, config.replica_count, eager);
   }
   if (config.standby_certifier) {
     if (eager) {
@@ -163,7 +157,7 @@ Result<std::unique_ptr<ReplicatedSystem>> ReplicatedSystem::Create(
       rt, config.level, db0->TableCount(), config.replica_count,
       config.routing, config.staleness_bound, config.admission);
   system->load_balancer_->SetTableSets(system->table_sets_);
-  if (system->sharded_certifier_ != nullptr) {
+  if (system->sharded()) {
     system->load_balancer_->EnableSharding(system->shard_map_.get(),
                                            config.hosted_shards);
   }
@@ -173,12 +167,10 @@ Result<std::unique_ptr<ReplicatedSystem>> ReplicatedSystem::Create(
   system->obs_->ConfigureAuditor(
       ProvidesStrongConsistency(config.level),
       config.level != ConsistencyLevel::kBoundedStaleness);
-  if (system->sharded_certifier_ != nullptr) {
-    std::vector<int32_t> table_to_shard(
-        system->shard_map_->table_to_shard().begin(),
-        system->shard_map_->table_to_shard().end());
-    system->obs_->auditor()->EnableSharding(std::move(table_to_shard),
-                                            shard_lanes);
+  // The auditor exists only when auditing is on.
+  if (system->sharded() && system->obs_->auditor() != nullptr) {
+    system->obs_->auditor()->EnableSharding(
+        system->shard_map_->table_to_shard(), shard_lanes);
   }
   system->obs_->ConfigureHealth(config.replica_count);
   system->RegisterGauges();
@@ -191,39 +183,26 @@ void ReplicatedSystem::RegisterGauges() {
   obs::MetricsRegistry* registry = obs_->registry();
   // All callbacks read through `this` so certifier/load-balancer failovers
   // transparently switch the gauges to the promoted instance.
-  if (sharded_certifier_ != nullptr) {
-    // One gauge set per lane: the whole point of sharding is that lane
-    // load is independent, so a single aggregate would hide exactly the
-    // imbalance these exist to expose.
-    for (ShardId s = 0; s < sharded_certifier_->shard_count(); ++s) {
-      const std::string prefix =
-          "certifier.lane" + std::to_string(s) + ".";
-      registry->RegisterCallbackGauge(prefix + "queue_depth", [this, s]() {
-        return static_cast<double>(
-            sharded_certifier_->lane_cpu(s)->QueueLength());
-      });
-      registry->RegisterCallbackGauge(prefix + "force_pending", [this, s]() {
-        return static_cast<double>(
-            sharded_certifier_->lane_force_pending(s));
-      });
-      registry->RegisterCallbackGauge(prefix + "disk_util", [this, s]() {
-        return sharded_certifier_->lane_disk(s)->Utilization();
-      });
+  // One gauge set per certifier lane: lane load is independent, so a
+  // single aggregate would hide exactly the imbalance these exist to
+  // expose.  K = 1 keeps the unprefixed names.
+  for (ShardId s = 0; s < certifier_->lane_count(); ++s) {
+    const std::string prefix =
+        sharded() ? "certifier.lane" + std::to_string(s) + "." : "certifier.";
+    registry->RegisterCallbackGauge(prefix + "queue_depth", [this, s]() {
+      return static_cast<double>(certifier_->cpu(s)->QueueLength());
+    });
+    registry->RegisterCallbackGauge(prefix + "force_pending", [this, s]() {
+      return static_cast<double>(certifier_->force_batch_pending(s));
+    });
+    registry->RegisterCallbackGauge(prefix + "disk_util", [this, s]() {
+      return certifier_->disk(s)->Utilization();
+    });
+    if (sharded()) {
       registry->RegisterCallbackGauge(prefix + "commit_version", [this, s]() {
-        return static_cast<double>(
-            sharded_certifier_->LaneCommitVersion(s));
+        return static_cast<double>(certifier_->CommitVersion(s));
       });
     }
-  } else {
-    registry->RegisterCallbackGauge("certifier.queue_depth", [this]() {
-      return static_cast<double>(certifier_->cpu()->QueueLength());
-    });
-    registry->RegisterCallbackGauge("certifier.force_pending", [this]() {
-      return static_cast<double>(certifier_->force_batch_pending());
-    });
-    registry->RegisterCallbackGauge("certifier.disk_util", [this]() {
-      return certifier_->disk()->Utilization();
-    });
   }
   registry->RegisterCallbackGauge("lb.outstanding", [this]() {
     int total = 0;
@@ -241,37 +220,25 @@ void ReplicatedSystem::RegisterGauges() {
   }
   if (config_.certifier.refresh_credit_window > 0) {
     registry->RegisterCallbackGauge("certifier.deferred_refresh", [this]() {
-      return static_cast<double>(
-          sharded_certifier_ != nullptr
-              ? sharded_certifier_->deferred_refresh_total()
-              : certifier_->deferred_refresh_total());
+      return static_cast<double>(certifier_->deferred_refresh_total());
     });
   }
   for (ReplicaId r = 0; r < config_.replica_count; ++r) {
     const std::string prefix = "replica" + std::to_string(r) + ".";
     Proxy* proxy = replicas_[static_cast<size_t>(r)]->proxy();
-    if (sharded_certifier_ != nullptr) {
-      // Lag of the replica's most-behind hosted stream.
-      registry->RegisterCallbackGauge(prefix + "version_lag",
-                                      [this, proxy]() {
-        DbVersion lag = 0;
-        for (ShardId s : proxy->hosted_shards()) {
-          const DbVersion certified =
-              sharded_certifier_->LaneCommitVersion(s);
-          const DbVersion published = proxy->ShardPublished(s);
-          if (certified > published) {
-            lag = std::max(lag, certified - published);
-          }
-        }
-        return static_cast<double>(lag);
-      });
-    } else {
-      registry->RegisterCallbackGauge(prefix + "version_lag",
-                                      [this, proxy]() {
+    // Lag of the replica's most-behind hosted stream.
+    registry->RegisterCallbackGauge(prefix + "version_lag", [this, proxy]() {
+      if (!proxy->sharded()) {
         return static_cast<double>(certifier_->CommitVersion() -
                                    proxy->v_local());
-      });
-    }
+      }
+      DbVersion lag = 0;
+      for (ShardId s : proxy->hosted_shards()) {
+        lag = std::max(lag,
+                       certifier_->CommitVersion(s) - proxy->ShardPublished(s));
+      }
+      return static_cast<double>(lag);
+    });
     registry->RegisterCallbackGauge(prefix + "refresh_queue", [proxy]() {
       return static_cast<double>(proxy->pending_writesets());
     });
@@ -292,15 +259,14 @@ void ReplicatedSystem::RegisterGauges() {
     });
     if (config_.certifier.refresh_credit_window > 0) {
       registry->RegisterCallbackGauge(prefix + "refresh_credits",
-                                      [this, proxy, r]() {
-        if (sharded_certifier_ != nullptr) {
-          int64_t total = 0;
-          for (ShardId s : proxy->hosted_shards()) {
-            total += sharded_certifier_->refresh_credits(s, r);
+                                      [this, r]() {
+        int64_t total = 0;
+        for (ShardId s = 0; s < certifier_->lane_count(); ++s) {
+          if (refresh_channel(r, s) != nullptr) {
+            total += certifier_->refresh_credits(r, s);
           }
-          return static_cast<double>(total);
         }
-        return static_cast<double>(certifier_->refresh_credits(r));
+        return static_cast<double>(total);
       });
     }
   }
@@ -376,11 +342,7 @@ void ReplicatedSystem::BuildChannels() {
     cert_request->SetSizeFn(
         [](const WriteSet& ws) { return ws.SerializedBytes(); });
     cert_request->SetHandler([this](const WriteSet& ws) {
-      if (sharded_certifier_ != nullptr) {
-        sharded_certifier_->SubmitCertification(ws);
-      } else {
-        certifier_->SubmitCertification(ws);
-      }
+      certifier_->SubmitCertification(ws);
     });
     cert_request->AttachMetrics(registry);
     ch_cert_request_.push_back(std::move(cert_request));
@@ -462,8 +424,8 @@ void ReplicatedSystem::BuildChannels() {
   // exactly the seeder forks) it always did.  One channel per stream a
   // replica actually hosts: partial replication means a non-hosting
   // replica never sees the shard's traffic at all.
-  if (sharded_certifier_ != nullptr) {
-    const int shard_count = sharded_certifier_->shard_count();
+  if (sharded()) {
+    const int shard_count = certifier_->lane_count();
     ch_shard_refresh_.resize(static_cast<size_t>(config_.replica_count));
     ch_shard_credit_.resize(static_cast<size_t>(config_.replica_count));
     for (ReplicaId r = 0; r < config_.replica_count; ++r) {
@@ -474,7 +436,7 @@ void ReplicatedSystem::BuildChannels() {
       net::Endpoint* replica_ep =
           replica_endpoints_[static_cast<size_t>(r)].get();
       for (ShardId s = 0; s < shard_count; ++s) {
-        if (!ReplicaHostsShard(r, s)) continue;
+        if (!HostsShard(config_.hosted_shards, r, s)) continue;
         const std::string tag =
             ".s" + std::to_string(s) + ".r" + std::to_string(r);
         auto refresh = std::make_unique<net::Channel<RefreshBatch>>(
@@ -495,7 +457,7 @@ void ReplicatedSystem::BuildChannels() {
             rt_, "credit" + tag, net.replica_certifier, seeder.Next());
         credit->SetDestination(certifier_endpoint_.get());
         credit->SetHandler([this, r, s](const int& credits) {
-          sharded_certifier_->OnCreditReturned(s, r, credits);
+          certifier_->OnCreditReturned(r, credits, s);
         });
         credit->AttachMetrics(registry);
         ch_shard_credit_[static_cast<size_t>(r)][static_cast<size_t>(s)] =
@@ -603,17 +565,12 @@ void ReplicatedSystem::Wire() {
     // credit window — an unset callback keeps the proxy's refresh path
     // exactly as before.
     if (config_.certifier.refresh_credit_window > 0) {
-      if (sharded_certifier_ != nullptr) {
-        proxy->SetShardedCreditCallback([this, r](ShardId shard,
-                                                  int credits) {
-          ch_shard_credit_[static_cast<size_t>(r)]
-                          [static_cast<size_t>(shard)]->Send(credits);
-        });
-      } else {
-        proxy->SetCreditCallback([this, r](int credits) {
-          ch_credit_[static_cast<size_t>(r)]->Send(credits);
-        });
-      }
+      proxy->SetCreditCallback([this, r](ShardId lane, int credits) {
+        const auto idx = static_cast<size_t>(r);
+        (sharded() ? ch_shard_credit_[idx][static_cast<size_t>(lane)]
+                   : ch_credit_[idx])
+            ->Send(credits);
+      });
     }
   }
 
@@ -656,7 +613,7 @@ void ReplicatedSystem::EmitFaultEvent(obs::EventKind kind,
 }
 
 void ReplicatedSystem::CrashLoadBalancer() {
-  SCREP_CHECK_MSG(sharded_certifier_ == nullptr,
+  SCREP_CHECK_MSG(!sharded(),
                   "LB failover unsupported with partitioned certification");
   ++lb_failovers_;
   EmitFaultEvent(obs::EventKind::kFailover, "lb", kNoReplica);
@@ -684,19 +641,6 @@ void ReplicatedSystem::CrashLoadBalancer() {
 }
 
 void ReplicatedSystem::WireCertifier() {
-  if (sharded_certifier_ != nullptr) {
-    sharded_certifier_->SetObservability(obs_.get());
-    sharded_certifier_->SetDecisionCallback(
-        [this](ReplicaId origin, const CertDecision& decision) {
-          ch_decision_[static_cast<size_t>(origin)]->Send(decision);
-        });
-    sharded_certifier_->SetRefreshCallback(
-        [this](ShardId shard, ReplicaId target, const RefreshBatch& batch) {
-          ch_shard_refresh_[static_cast<size_t>(target)]
-                           [static_cast<size_t>(shard)]->Send(batch);
-        });
-    return;
-  }
   // Only the active certifier reports: a standby processes the identical
   // stream and would double-count. On promotion the same counter names
   // continue their predecessor's totals.
@@ -708,7 +652,7 @@ void ReplicatedSystem::WireCertifier() {
       });
   certifier_->SetRefreshCallback(
       [this](ReplicaId target, const RefreshBatch& batch) {
-        ch_refresh_[static_cast<size_t>(target)]->Send(batch);
+        refresh_channel(target, batch.shard)->Send(batch);
       });
   certifier_->SetGlobalCommitCallback([this](ReplicaId origin, TxnId txn) {
     ch_global_commit_[static_cast<size_t>(origin)]->Send(txn);
@@ -762,7 +706,7 @@ void ReplicatedSystem::CrashCertifier() {
 }
 
 void ReplicatedSystem::CrashReplica(ReplicaId replica) {
-  SCREP_CHECK_MSG(sharded_certifier_ == nullptr,
+  SCREP_CHECK_MSG(!sharded(),
                   "replica crash unsupported with partitioned certification");
   Proxy* proxy = replicas_[static_cast<size_t>(replica)]->proxy();
   SCREP_CHECK_MSG(!proxy->down(), "replica already down");
@@ -820,15 +764,6 @@ bool ReplicatedSystem::IsReplicaDown(ReplicaId replica) const {
   return replicas_[static_cast<size_t>(replica)]->proxy()->down();
 }
 
-bool ReplicatedSystem::ReplicaHostsShard(ReplicaId replica,
-                                         ShardId shard) const {
-  const auto& hosted = config_.hosted_shards;
-  if (static_cast<size_t>(replica) >= hosted.size()) return true;
-  const auto& set = hosted[static_cast<size_t>(replica)];
-  if (set.empty()) return true;  // empty set = hosts everything
-  return std::find(set.begin(), set.end(), shard) != set.end();
-}
-
 void ReplicatedSystem::SetReplicaLinksPartitioned(ReplicaId replica,
                                                   bool partitioned) {
   const auto r = static_cast<size_t>(replica);
@@ -843,7 +778,7 @@ void ReplicatedSystem::SetReplicaLinksPartitioned(ReplicaId replica,
 }
 
 void ReplicatedSystem::PartitionReplica(ReplicaId replica) {
-  SCREP_CHECK_MSG(sharded_certifier_ == nullptr,
+  SCREP_CHECK_MSG(!sharded(),
                   "partition faults unsupported with partitioned "
                   "certification");
   Proxy* proxy = replicas_[static_cast<size_t>(replica)]->proxy();

@@ -17,7 +17,6 @@
 #include "replication/load_balancer.h"
 #include "replication/replica.h"
 #include "replication/shard_map.h"
-#include "replication/sharded_certifier.h"
 #include "runtime/runtime.h"
 #include "sql/table_set.h"
 
@@ -75,7 +74,8 @@ struct SystemConfig {
   /// Partitioned certification (certifier.shard_lanes > 1 only): each
   /// replica's hosted-shard set — partial replication.  Empty outer
   /// vector, or an empty per-replica set, means "hosts every shard"
-  /// (full replication).  Every shard must be hosted by at least one
+  /// (full replication; see HostsShard).  A non-empty outer vector must
+  /// list every replica, and every shard must be hosted by at least one
   /// replica.
   std::vector<std::vector<ShardId>> hosted_shards;
   /// Explicit table -> shard assignment (empty = round-robin t mod K).
@@ -181,11 +181,10 @@ class ReplicatedSystem {
   /// governed by SystemConfig::obs).
   obs::Observability* obs() { return obs_.get(); }
   LoadBalancer* load_balancer() { return load_balancer_.get(); }
-  /// The single-stream certifier (null when shard_lanes > 1).
+  /// The active certifier (certifier.shard_lanes lanes).
   Certifier* certifier() { return certifier_.get(); }
-  /// The K-lane certifier (null unless shard_lanes > 1).
-  ShardedCertifier* sharded_certifier() { return sharded_certifier_.get(); }
-  bool sharded() const { return sharded_certifier_ != nullptr; }
+  /// True with partitioned certification (shard_lanes > 1).
+  bool sharded() const { return shard_map_ != nullptr; }
   const ShardMap* shard_map() const { return shard_map_.get(); }
   Replica* replica(ReplicaId id) {
     return replicas_[static_cast<size_t>(id)].get();
@@ -195,21 +194,19 @@ class ReplicatedSystem {
   }
   const sql::TransactionRegistry& registry() const { return registry_; }
 
-  /// The certifier -> replica refresh channel (tests and benches read
-  /// its per-link stats: messages, bytes, drops, redeliveries).
-  net::Channel<RefreshBatch>* refresh_channel(ReplicaId replica) {
-    return ch_refresh_[static_cast<size_t>(replica)].get();
+  /// The certifier -> replica refresh channel of one lane's stream
+  /// (tests and benches read its per-link stats: messages, bytes, drops,
+  /// redeliveries).  Sharded mode: null when the replica does not host
+  /// the lane.
+  net::Channel<RefreshBatch>* refresh_channel(ReplicaId replica,
+                                              ShardId lane = 0) {
+    const auto r = static_cast<size_t>(replica);
+    return sharded() ? ch_shard_refresh_[r][static_cast<size_t>(lane)].get()
+                     : ch_refresh_[r].get();
   }
   /// The LB -> replica dispatch channel.
   net::Channel<RoutedRequest>* dispatch_channel(ReplicaId replica) {
     return ch_dispatch_[static_cast<size_t>(replica)].get();
-  }
-  /// One (shard, replica) refresh stream's channel (sharded mode; null
-  /// when the replica does not host the shard).
-  net::Channel<RefreshBatch>* shard_refresh_channel(ShardId shard,
-                                                    ReplicaId replica) {
-    return ch_shard_refresh_[static_cast<size_t>(replica)]
-                            [static_cast<size_t>(shard)].get();
   }
 
  private:
@@ -241,16 +238,11 @@ class ReplicatedSystem {
   /// (Re)wires the active load balancer's channels.
   void WireLoadBalancer();
 
-  /// True when `replica` hosts `shard` (sharded mode).
-  bool ReplicaHostsShard(ReplicaId replica, ShardId shard) const;
-
   sql::TransactionRegistry registry_;
   std::vector<std::unique_ptr<Replica>> replicas_;
   std::unique_ptr<Certifier> certifier_;
-  /// Partitioned certification (shard_lanes > 1): the shard map and the
-  /// K-lane certifier replacing `certifier_`.
+  /// Partitioned certification (shard_lanes > 1): the table -> lane map.
   std::unique_ptr<ShardMap> shard_map_;
-  std::unique_ptr<ShardedCertifier> sharded_certifier_;
   std::unique_ptr<Certifier> standby_certifier_;
   /// The crashed primary is kept allocated (muted) until the run ends:
   /// simulated work it had in flight may still complete, and a crashed

@@ -17,7 +17,7 @@
 #include "common/rng.h"
 #include "obs/observability.h"
 #include "replication/certifier.h"
-#include "replication/sharded_certifier.h"
+#include "replication/shard_map.h"
 
 namespace screp {
 namespace {
@@ -189,7 +189,7 @@ TEST_F(CertifierOracleTest, LargeWindowNoWindowAborts) {
 }
 
 // ---------------------------------------------------------------------
-// Partitioned certification vs. the single-stream oracle: over a
+// Partitioned certification vs. the single-lane oracle: over a
 // randomized multi-shard workload, the K-lane certifier must reach
 // exactly the verdicts of one linear-scan certifier consuming the same
 // history — same commits, same aborts, same conflict attribution (the
@@ -221,15 +221,15 @@ class ShardedOracleTest : public ::testing::Test {
     obs_config.event_log = true;
     sharded_obs_ = std::make_unique<obs::Observability>(&sharded_rt_,
                                                         obs_config);
-    sharded_ = std::make_unique<ShardedCertifier>(
-        &sharded_rt_, config, ShardMap(kTables, kShards),
-        /*replica_count=*/3);
+    sharded_ = std::make_unique<Certifier>(&sharded_rt_, config,
+                                           /*replica_count=*/3,
+                                           /*eager=*/false);
+    sharded_->EnableSharding(&map_, {});
     sharded_->SetDecisionCallback(
         [this](ReplicaId, const CertDecision& decision) {
           sharded_decisions_.push_back(decision);
         });
-    sharded_->SetRefreshCallback(
-        [](ShardId, ReplicaId, const RefreshBatch&) {});
+    sharded_->SetRefreshCallback([](ReplicaId, const RefreshBatch&) {});
     sharded_->SetObservability(sharded_obs_.get());
     lane_at_prefix_.push_back(std::vector<DbVersion>(kShards, 0));
   }
@@ -353,8 +353,9 @@ class ShardedOracleTest : public ::testing::Test {
 
   Simulator sharded_sim_;
   runtime::SimRuntime sharded_rt_{&sharded_sim_};
+  const ShardMap map_{kTables, kShards};
   std::unique_ptr<obs::Observability> sharded_obs_;
-  std::unique_ptr<ShardedCertifier> sharded_;
+  std::unique_ptr<Certifier> sharded_;
   std::vector<CertDecision> sharded_decisions_;
   std::unique_ptr<Lane> oracle_;
   /// lane_at_prefix_[p][s]: shard s's commit count within the first p

@@ -251,6 +251,51 @@ TEST_F(CertifierTest, DecisionMapBoundedByConflictWindow) {
   EXPECT_EQ(certifier_->CommitVersion(), before);
 }
 
+TEST_F(CertifierTest, DecisionHorizonCountsCommitsNotDecisions) {
+  // Retirement is measured in commits: a burst of aborts (decisions that
+  // consume no version) does not push an earlier commit out of reach.
+  CertifierConfig config;
+  config.conflict_window = 16;
+  Build(2, false, config);
+  certifier_->SubmitCertification(MakeWs(1, 0, 0, {5}));
+  sim_.RunAll();
+  for (TxnId t = 2; t <= 40; ++t) {
+    certifier_->SubmitCertification(MakeWs(t, 1, 0, {5}));  // stale: ww
+    sim_.RunAll();
+  }
+  EXPECT_EQ(certifier_->abort_count(), 39);
+  EXPECT_EQ(certifier_->decided_size(), 40u);
+  decisions_.clear();
+  certifier_->SubmitCertification(MakeWs(1, 0, 0, {5}));
+  sim_.RunAll();
+  ASSERT_EQ(decisions_.size(), 1u);
+  EXPECT_TRUE(decisions_[0].second.commit);
+  EXPECT_EQ(decisions_[0].second.commit_version, 1);
+  EXPECT_EQ(certifier_->certified_count(), 1);
+}
+
+TEST_F(CertifierTest, DuplicateInFlightSubmissionReplaysRecordedDecision) {
+  // Both copies queue for the single CPU; the original is decided by the
+  // time the duplicate is served, so the duplicate gets the recorded
+  // decision replayed — certified once, logged once, fanned out once.
+  Build(3, false);
+  certifier_->SubmitCertification(MakeWs(1, 0, 0, {5}));
+  certifier_->SubmitCertification(MakeWs(1, 0, 0, {5}));
+  sim_.RunAll();
+  ASSERT_EQ(decisions_.size(), 2u);
+  for (const auto& [origin, decision] : decisions_) {
+    EXPECT_EQ(origin, 0);
+    EXPECT_EQ(decision.txn_id, 1u);
+    EXPECT_TRUE(decision.commit);
+    EXPECT_EQ(decision.commit_version, 1);
+  }
+  EXPECT_EQ(certifier_->certified_count(), 1);
+  EXPECT_EQ(certifier_->abort_count(), 0);
+  EXPECT_EQ(certifier_->CommitVersion(), 1);
+  EXPECT_EQ(certifier_->wal().DurableSize(), 1u);
+  EXPECT_EQ(refreshes_.size(), 2u);  // replicas 1 and 2, once each
+}
+
 TEST_F(CertifierTest, ConflictIndexMatchesNewestConflictingVersion) {
   Build(2, false);
   // Three successive writers of key 5.
