@@ -34,12 +34,14 @@ LogLevel GetLogLevel() {
 
 namespace internal {
 
+bool LogEnabled(LogLevel level) {
+  return static_cast<int>(level) >=
+         g_log_level.load(std::memory_order_relaxed);
+}
+
 void LogMessage(LogLevel level, const char* file, int line,
                 const std::string& message) {
-  if (static_cast<int>(level) <
-      g_log_level.load(std::memory_order_relaxed)) {
-    return;
-  }
+  if (!LogEnabled(level)) return;
   std::fprintf(stderr, "[%s] %s:%d: %s\n", LevelName(level), file, line,
                message.c_str());
 }

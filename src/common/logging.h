@@ -16,6 +16,9 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
 namespace internal {
 
+/// True when `level` is at or above the global threshold.
+bool LogEnabled(LogLevel level);
+
 /// Emits one formatted log line to stderr if `level` is at or above the
 /// global threshold.
 void LogMessage(LogLevel level, const char* file, int line,
@@ -46,6 +49,13 @@ class LogStream {
   std::ostringstream stream_;
 };
 
+/// Turns a whole `LogStream << ...` chain into a void expression, so
+/// SCREP_LOG can sit in the false arm of a conditional (`&` binds looser
+/// than `<<`).
+struct LogVoidify {
+  void operator&(const LogStream&) {}
+};
+
 }  // namespace internal
 
 /// Sets the minimum severity that is actually emitted (default kWarn, so
@@ -57,8 +67,14 @@ LogLevel GetLogLevel();
 
 }  // namespace screp
 
+// A suppressed level costs one threshold check: the stream is never built
+// and the operands after `<<` are never evaluated.
 #define SCREP_LOG(level)                                                    \
-  ::screp::internal::LogStream(::screp::LogLevel::level, __FILE__, __LINE__)
+  !::screp::internal::LogEnabled(::screp::LogLevel::level)                 \
+      ? (void)0                                                             \
+      : ::screp::internal::LogVoidify() &                                   \
+            ::screp::internal::LogStream(::screp::LogLevel::level,          \
+                                         __FILE__, __LINE__)
 
 #define SCREP_CHECK(condition)                                              \
   do {                                                                      \

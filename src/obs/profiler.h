@@ -16,6 +16,8 @@
 //   cert_intake_wait  queued for the certifier CPU
 //   certify           certification service time
 //   force_wait        certified, waiting for the group-commit log force
+//                     (K > 1: from the last lane vote, so it also covers
+//                     the wait in the sequencer's decide queues)
 //   gap_wait          decision back, waiting for earlier versions to
 //                     arrive/apply (refresh propagation gap)
 //   lane_wait         contiguous but queued for an apply lane

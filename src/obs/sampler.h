@@ -6,8 +6,8 @@
 // Samples are taken at t = period, 2*period, ... — the right edges of
 // MetricsCollector's timeline buckets when the harness uses the same
 // width — so the internal queue/lag series line up with the client-side
-// throughput timeline.  Like the GC daemon, the sampler must be stopped
-// at the end of a run so the event queue can drain.
+// throughput timeline.  The sampler must be stopped at the end of a run
+// so the event queue can drain.
 //
 // Instruments registered after sampling started join the poll set at
 // their first tick; earlier sample slots are zero-filled in the in-memory

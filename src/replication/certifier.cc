@@ -67,6 +67,18 @@ size_t Certifier::conflict_index_size() const {
   return total;
 }
 
+size_t Certifier::window_entries() const {
+  size_t total = 0;
+  for (const auto& l : lanes_) total += l->recent.size();
+  return total;
+}
+
+size_t Certifier::window_bytes() const {
+  size_t total = 0;
+  for (const auto& l : lanes_) total += l->recent_bytes;
+  return total;
+}
+
 size_t Certifier::deferred_refresh_total() const {
   size_t total = 0;
   for (const auto& l : lanes_) {
@@ -127,6 +139,7 @@ void Certifier::SubmitCertification(WriteSet ws) {
     pending.ws = std::move(ws);
     pending.votes_outstanding = static_cast<int>(touched.size());
     pending.lanes = std::move(touched);
+    pending.submitted_at = rt_->Now();
     // One certify-CPU service per touched lane: the per-shard conflict
     // checks proceed in parallel.
     for (ShardId s : pending.lanes) {
@@ -144,28 +157,31 @@ void Certifier::SubmitCertification(WriteSet ws) {
       [this, first, enqueued, ws = std::move(ws)]() mutable {
         const TxnId id = ws.txn_id;
         OnVote(first, std::move(ws));
-        if (tracer_ != nullptr && !muted_) {
-          // The single-server FIFO CPU served this writeset for exactly
-          // certify_cpu_time at the end of the interval; everything
-          // before that was intake queueing.
-          const TimePoint service_start =
-              rt_->Now() - config_.certify_cpu_time;
-          tracer_->Add({.name = "certifier.intake_wait",
-                        .category = "certifier",
-                        .pid = obs::kCertifierPid,
-                        .tid = static_cast<int64_t>(id),
-                        .start = enqueued,
-                        .duration = service_start - enqueued,
-                        .txn = id});
-          tracer_->Add({.name = "certifier.certify",
-                        .category = "certifier",
-                        .pid = obs::kCertifierPid,
-                        .tid = static_cast<int64_t>(id),
-                        .start = service_start,
-                        .duration = config_.certify_cpu_time,
-                        .txn = id});
-        }
+        EmitCertifySpans(id, enqueued);
       });
+}
+
+void Certifier::EmitCertifySpans(TxnId txn, TimePoint enqueued) {
+  if (tracer_ == nullptr || muted_) return;
+  // The single-server FIFO CPU served the (last) vote for exactly
+  // certify_cpu_time at the end of the interval; everything before that
+  // was intake queueing.  A cross-shard transaction's earlier votes ran
+  // in parallel on other lanes, off the critical path.
+  const TimePoint service_start = rt_->Now() - config_.certify_cpu_time;
+  tracer_->Add({.name = "certifier.intake_wait",
+                .category = "certifier",
+                .pid = obs::kCertifierPid,
+                .tid = static_cast<int64_t>(txn),
+                .start = enqueued,
+                .duration = service_start - enqueued,
+                .txn = txn});
+  tracer_->Add({.name = "certifier.certify",
+                .category = "certifier",
+                .pid = obs::kCertifierPid,
+                .tid = static_cast<int64_t>(txn),
+                .start = service_start,
+                .duration = config_.certify_cpu_time,
+                .txn = txn});
 }
 
 void Certifier::ShedSubmission(const WriteSet& ws) {
@@ -198,23 +214,25 @@ void Certifier::OnVote(ShardId lane_id, WriteSet ws) {
   }
   auto& queue = lane(lane_id).queue;
   if (queue.empty()) {
-    Decide(std::move(ws), {&lane_id, 1});
+    Decide(std::move(ws), {&lane_id, 1}, rt_->Now());
     return;
   }
   // Behind an undecided cross-shard transaction: wait in line, unless the
   // original of this submission already does.
   for (const auto& queued : queue) {
-    if (queued.first == ws.txn_id) return;
+    if (queued.txn == ws.txn_id) return;
   }
   const TxnId txn = ws.txn_id;
-  queue.emplace_back(txn, std::move(ws));
+  queue.push_back({txn, std::move(ws), rt_->Now()});
 }
 
 void Certifier::OnCrossShardVote(ShardId lane_id, TxnId txn) {
   auto it = cross_shard_.find(txn);
   SCREP_CHECK_MSG(it != cross_shard_.end(), "vote for unknown txn " << txn);
-  lane(lane_id).queue.emplace_back(txn, std::nullopt);
+  lane(lane_id).queue.push_back({txn, std::nullopt});
   if (--it->second.votes_outstanding > 0) return;
+  it->second.voted_at = rt_->Now();
+  EmitCertifySpans(txn, it->second.submitted_at);
   DecideQueued();
 }
 
@@ -227,28 +245,29 @@ void Certifier::DecideQueued() {
     for (ShardId s = 0; s < lane_count(); ++s) {
       auto& queue = lane(s).queue;
       if (queue.empty()) continue;
-      if (queue.front().second.has_value()) {
+      if (queue.front().ws.has_value()) {
         // A single-lane transaction decides as soon as it is at the head.
-        WriteSet ws = std::move(*queue.front().second);
+        WriteSet ws = std::move(*queue.front().ws);
+        const TimePoint voted_at = queue.front().voted_at;
         queue.pop_front();
-        Decide(std::move(ws), {&s, 1});
+        Decide(std::move(ws), {&s, 1}, voted_at);
         progress = true;
         continue;
       }
-      auto it = cross_shard_.find(queue.front().first);
+      auto it = cross_shard_.find(queue.front().txn);
       SCREP_CHECK(it != cross_shard_.end());
       if (it->second.votes_outstanding > 0) continue;
       const std::vector<ShardId>& lanes = it->second.lanes;
       if (!std::all_of(lanes.begin(), lanes.end(), [&](ShardId t) {
             const auto& q = lane(t).queue;
-            return !q.empty() && q.front().first == it->first;
+            return !q.empty() && q.front().txn == it->first;
           })) {
         continue;
       }
       CrossShardTxn pending = std::move(it->second);
       cross_shard_.erase(it);
       for (ShardId t : pending.lanes) lane(t).queue.pop_front();
-      Decide(std::move(pending.ws), pending.lanes);
+      Decide(std::move(pending.ws), pending.lanes, pending.voted_at);
       progress = true;
     }
   }
@@ -301,7 +320,8 @@ void Certifier::Reject(const WriteSet& ws, const char* reason,
   if (!muted_) decision_cb_(ws.origin, decision);
 }
 
-void Certifier::Decide(WriteSet ws, std::span<const ShardId> touched) {
+void Certifier::Decide(WriteSet ws, std::span<const ShardId> touched,
+                       TimePoint voted_at) {
   // Forward to the standby BEFORE any decision can be announced, so the
   // standby's deterministic state always covers everything the replicas
   // may have observed (synchronous state-machine replication).
@@ -312,7 +332,7 @@ void Certifier::Decide(WriteSet ws, std::span<const ShardId> touched) {
     const Lane& l = lane(s);
     const DbVersion snapshot = SnapshotIn(ws, s);
     const DbVersion window_start =
-        l.recent.empty() ? 0 : l.recent.front()->commit_version - 1;
+        l.recent.empty() ? 0 : l.recent.front().version - 1;
     if (snapshot >= window_start) continue;
     ++window_aborts_;
     if (!muted_) {
@@ -356,14 +376,14 @@ void Certifier::Decide(WriteSet ws, std::span<const ShardId> touched) {
       // recent is ascending by version: scan from the back and stop at
       // the snapshot; the first conflict found is the newest.
       for (auto it = l.recent.rbegin(); it != l.recent.rend(); ++it) {
-        const WriteSet& committed = **it;
-        if (committed.commit_version <= snapshot) break;
-        const bool hit_ww = ws.ConflictsWith(committed);
-        if (hit_ww || (serializable && ws.ReadsConflictWith(committed))) {
+        const CommittedWrites& committed = *it;
+        if (committed.version <= snapshot) break;
+        const bool hit_ww = committed.WritesConflictWith(ws);
+        if (hit_ww || (serializable && committed.ReadsConflictWith(ws))) {
           lane_found = true;
           lane_ww = hit_ww;
-          lane_version = committed.commit_version;
-          lane_txn = committed.txn_id;
+          lane_version = committed.version;
+          lane_txn = committed.txn;
           break;
         }
       }
@@ -385,8 +405,9 @@ void Certifier::Decide(WriteSet ws, std::span<const ShardId> touched) {
     const int64_t lane_seq =
         touched.size() == 1
             ? 0
-            : l.recent_seq[static_cast<size_t>(
-                  lane_version - l.recent.front()->commit_version)];
+            : l.recent[static_cast<size_t>(lane_version -
+                                           l.recent.front().version)]
+                  .seq;
     if (!found || lane_seq > best_seq || (lane_seq == best_seq && lane_ww)) {
       found = true;
       ww = lane_ww;
@@ -415,9 +436,8 @@ void Certifier::Decide(WriteSet ws, std::span<const ShardId> touched) {
   // at K = 1 the next version in the global total order.  The scalar
   // commit_version is the lowest-numbered touched lane's version; at
   // K > 1 shard_versions carries them all.  Then freeze the writeset —
-  // one immutable object shared by the conflict window (single lane),
-  // the force batch, every per-target refresh batch and the proxies'
-  // apply queues.
+  // one immutable object shared by the force batch, every per-target
+  // refresh batch and the proxies' apply queues.
   ++certified_;
   ws.shard_versions.clear();
   ws.commit_version = lane(touched.front()).v_commit + 1;
@@ -441,11 +461,12 @@ void Certifier::Decide(WriteSet ws, std::span<const ShardId> touched) {
   }
   if (tracer_ != nullptr && !muted_ && tracer_->active()) {
     // Remember when certification finished so the announcement after the
-    // group-commit force can span the durability wait.
-    certify_done_at_[frozen->txn_id] = rt_->Now();
+    // group-commit force can span the durability wait (plus, at K > 1,
+    // any wait in the decide queues since the last vote).
+    certify_done_at_[frozen->txn_id] = voted_at;
   }
   if (touched.size() == 1) {
-    Install(touched.front(), frozen);
+    Install(touched.front(), *frozen);
     QueueForce(touched.front(), std::move(frozen));
     return;
   }
@@ -458,20 +479,20 @@ void Certifier::Decide(WriteSet ws, std::span<const ShardId> touched) {
     sub.snapshot_version = SnapshotIn(*frozen, s);
     sub.commit_version = version;
     WriteSetRef frozen_sub = std::make_shared<const WriteSet>(std::move(sub));
-    Install(s, frozen_sub);
+    Install(s, *frozen_sub);
     QueueForce(s, std::move(frozen_sub));
   }
 }
 
-void Certifier::Install(ShardId lane_id, const WriteSetRef& ws) {
+void Certifier::Install(ShardId lane_id, const WriteSet& ws) {
   Lane& l = lane(lane_id);
-  l.recent.push_back(ws);
-  if (sharded()) l.recent_seq.push_back(certified_);
-  if (!config_.linear_scan_oracle) l.index.Insert(*ws);
+  const CommittedWrites& entry = l.recent.emplace_back(ws, certified_);
+  l.recent_bytes += entry.Bytes();
+  if (!config_.linear_scan_oracle) l.index.Insert(entry);
   while (l.recent.size() > config_.conflict_window) {
-    if (!config_.linear_scan_oracle) l.index.Erase(*l.recent.front());
+    if (!config_.linear_scan_oracle) l.index.Erase(l.recent.front());
+    l.recent_bytes -= l.recent.front().Bytes();
     l.recent.pop_front();
-    if (sharded()) l.recent_seq.pop_front();
   }
 }
 
@@ -487,22 +508,23 @@ void Certifier::QueueForce(ShardId lane_id, WriteSetRef ws) {
 
 void Certifier::ForceNext(ShardId lane_id) {
   Lane& l = lane(lane_id);
-  std::vector<WriteSetRef> batch;
   if (config_.max_force_batch > 0 &&
       l.force_batch.size() > config_.max_force_batch) {
     // Capped group commit: take the oldest max_force_batch writesets (in
     // version order) and leave the rest for the next force.
     const auto split = l.force_batch.begin() +
                        static_cast<std::ptrdiff_t>(config_.max_force_batch);
-    batch.assign(l.force_batch.begin(), split);
+    l.forcing.assign(l.force_batch.begin(), split);
     l.force_batch.erase(l.force_batch.begin(), split);
   } else {
-    batch.swap(l.force_batch);
+    l.forcing.swap(l.force_batch);
   }
   const TimePoint force_start = rt_->Now();
   l.disk.Submit(
-      config_.log_force_time,
-      [this, lane_id, batch = std::move(batch), force_start]() {
+      config_.log_force_time, [this, lane_id, force_start]() {
+        const std::vector<WriteSetRef> batch =
+            std::move(lane(lane_id).forcing);
+        lane(lane_id).forcing.clear();
         const auto batch_size = static_cast<int64_t>(batch.size());
         if (!muted_) {
           if (ctr_forces_ != nullptr) ctr_forces_->Increment();
@@ -725,20 +747,15 @@ Status Certifier::FetchSince(
   SCREP_CHECK_MSG(!sharded(), "catch-up is single-lane only");
   const Lane& l = *lanes_.front();
   if (from >= l.v_commit) return Status::OK();
-  const DbVersion window_start =
-      l.recent.empty() ? l.v_commit + 1 : l.recent.front()->commit_version;
-  if (from + 1 >= window_start) {
-    for (const WriteSetRef& ws : l.recent) {
+  // One lane forces every commit as exactly one WAL record, in version
+  // order, so record i holds version i + 1: the durable part of the range
+  // starts at record `from`.  The rest is in the in-flight force and the
+  // batch behind it.
+  SCREP_RETURN_NOT_OK(l.wal.ReadFrom(static_cast<uint64_t>(from), sink));
+  for (const auto* batch : {&l.forcing, &l.force_batch}) {
+    for (const WriteSetRef& ws : *batch) {
       if (ws->commit_version > from) sink(*ws);
     }
-    return Status::OK();
-  }
-  // The window no longer covers the requested range: decode the durable
-  // log (recovery is rare, so the full scan is acceptable).
-  std::vector<WriteSet> log;
-  SCREP_RETURN_NOT_OK(l.wal.ReadAll(&log));
-  for (const WriteSet& ws : log) {
-    if (ws.commit_version > from) sink(ws);
   }
   return Status::OK();
 }

@@ -7,10 +7,13 @@
 // transactions that committed since T's snapshot.  Commit versions are
 // dense: V_commit increases by one per certified commit.
 //
-// Durability is enforced here (replicas run with log forcing off): each
-// certified writeset is appended to the certifier's WAL and forced to a
-// simulated disk.  Forces are group-committed — all decisions waiting while
-// the disk is busy share the next force.
+// Durability is enforced here (replicas keep no log): each certified
+// writeset is appended to the certifier's WAL and forced to a simulated
+// disk.  Forces are group-committed — all decisions waiting while the disk
+// is busy share the next force.  The WAL is the only copy of committed
+// rows the certifier keeps: the conflict window holds just each commit's
+// version, transaction and written keys (CommittedWrites), and replica
+// catch-up (FetchSince) decodes the WAL from the first missing record.
 //
 // In the eager configuration the certifier additionally counts per-replica
 // commit notifications and tells the originating replica when a
@@ -100,9 +103,11 @@ struct CertifierConfig {
   Duration log_force_time = Millis(0.8);
   /// Certification guarantee.
   CertificationMode mode = CertificationMode::kGsi;
-  /// How many recent committed writesets are retained for conflict
-  /// checking; transactions with snapshots older than the window are
-  /// conservatively aborted (does not occur in practice).
+  /// How many recent commits each lane retains for conflict checking, as
+  /// compact entries (version, txn, written keys; ~64 B for a one-row
+  /// writeset); transactions with snapshots older than the window are
+  /// conservatively aborted (does not occur in practice).  Also bounds
+  /// the decisions kept for failover idempotence.
   size_t conflict_window = 100000;
   /// DEBUG ONLY: decide by linearly rescanning the whole conflict window
   /// (the pre-index brute-force path) instead of the keyed conflict
@@ -222,8 +227,8 @@ class Certifier {
 
   /// Recovery catch-up (single lane): invokes `sink` with every committed
   /// writeset with commit_version in (from, CommitVersion()], in version
-  /// order. Serves from the in-memory window when possible, otherwise
-  /// decodes the durable log.
+  /// order: the durable ones decoded from the WAL starting at the first
+  /// missing record, then those still awaiting their force.
   Status FetchSince(DbVersion from,
                     const std::function<void(const WriteSet&)>& sink) const;
 
@@ -242,6 +247,9 @@ class Certifier {
   /// Decisions retained for failover idempotence (bounded by the
   /// conflict window).
   size_t decided_size() const { return decided_.size(); }
+  /// Conflict-window entries across the lanes, and the bytes they hold.
+  size_t window_entries() const;
+  size_t window_bytes() const;
 
   int64_t certified_count() const { return certified_; }
   int64_t abort_count() const { return aborts_; }
@@ -281,6 +289,14 @@ class Certifier {
   int replica_count() const { return replica_count_; }
 
  private:
+  /// A decide-queue entry: a single-lane submission carries its writeset
+  /// and the time its vote finished; a cross-shard one only its id.
+  struct QueuedVote {
+    TxnId txn;
+    std::optional<WriteSet> ws;
+    TimePoint voted_at = 0;
+  };
+
   struct Lane {
     Lane(runtime::Runtime* rt, const std::string& name, bool serializable,
          int replicas, int64_t credit_window)
@@ -292,15 +308,12 @@ class Certifier {
 
     Resource cpu;
     Resource disk;
-    /// Committed writesets of this lane (at K > 1 a cross-shard commit
-    /// contributes its sub-writeset), ascending by lane version, pruned
-    /// to config_.conflict_window.  Frozen references: a single-lane
-    /// commit is the same object the force batch and the refresh fan-out
-    /// carry.
-    std::deque<WriteSetRef> recent;
-    /// K > 1 only: the commit sequence number (certified_) of each entry
-    /// of `recent`, ordering conflict hits reported by different lanes.
-    std::deque<int64_t> recent_seq;
+    /// The conflict window: this lane's commits (at K > 1 a cross-shard
+    /// commit contributes its sub-writeset's keys), ascending by lane
+    /// version, pruned to config_.conflict_window.
+    std::deque<CommittedWrites> recent;
+    /// Sum of recent[i].Bytes().
+    size_t recent_bytes = 0;
     /// Keyed index over `recent`: (table, key) -> newest committed write
     /// (plus per-table ordered maps in serializable mode), making a
     /// certification O(|writeset|) lookups instead of a window rescan.
@@ -310,10 +323,12 @@ class Certifier {
     Wal wal;
     /// Writesets certified but awaiting the in-flight disk force.
     std::vector<WriteSetRef> force_batch;
+    /// The batch the in-flight force covers (empty when none is).
+    std::vector<WriteSetRef> forcing;
     bool force_in_flight = false;
     /// Decide queue: voted but undecided transactions, in arrival order.
     /// Non-empty only while a cross-shard transaction waits at its head.
-    std::deque<std::pair<TxnId, std::optional<WriteSet>>> queue;
+    std::deque<QueuedVote> queue;
     /// Refresh flow control (only consulted when refresh_credit_window >
     /// 0): per-replica credits remaining, and writesets deferred in
     /// lane-version order until the replica returns credits.
@@ -326,6 +341,8 @@ class Certifier {
     WriteSet ws;
     std::vector<ShardId> lanes;
     int votes_outstanding = 0;
+    TimePoint submitted_at = 0;
+    TimePoint voted_at = 0;  ///< when the last vote finished
   };
 
   Lane& lane(ShardId s) { return *lanes_[static_cast<size_t>(s)]; }
@@ -334,13 +351,19 @@ class Certifier {
   /// A single-lane submission finished its CPU service: replay, drop,
   /// queue behind a cross-shard transaction, or decide.
   void OnVote(ShardId lane, WriteSet ws);
+  /// Emits the certifier.intake_wait / certifier.certify spans of a
+  /// submission received at `enqueued` whose (last) vote just finished.
+  void EmitCertifySpans(TxnId txn, TimePoint enqueued);
   /// One lane's vote for a cross-shard transaction completed.
   void OnCrossShardVote(ShardId lane, TxnId txn);
   /// Decides every queued transaction that is ready and at the head of
   /// all its lanes' queues, until no further progress.
   void DecideQueued();
-  /// The certification decision over the touched lanes.
-  void Decide(WriteSet ws, std::span<const ShardId> touched);
+  /// The certification decision over the touched lanes; `voted_at` is
+  /// when its (last) vote finished — the start of its force_wait span,
+  /// which so also covers any wait in the decide queues.
+  void Decide(WriteSet ws, std::span<const ShardId> touched,
+              TimePoint voted_at);
   /// Announces and records an abort.
   void Reject(const WriteSet& ws, const char* reason,
               DbVersion conflict_version, TxnId conflict_txn);
@@ -348,7 +371,7 @@ class Certifier {
   /// full conflict window of commits old.
   void RecordDecision(const CertDecision& decision);
   /// Adds a committed (sub-)writeset to `lane`'s conflict window.
-  void Install(ShardId lane, const WriteSetRef& ws);
+  void Install(ShardId lane, const WriteSet& ws);
   /// Appends to `lane`'s durable log via group commit.
   void QueueForce(ShardId lane, WriteSetRef ws);
   /// Forces `lane`'s pending batch (up to max_force_batch writesets) to

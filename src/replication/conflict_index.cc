@@ -2,27 +2,58 @@
 
 namespace screp {
 
-void CommittedKeyIndex::Insert(const WriteSet& ws) {
-  const Hit hit{ws.commit_version, ws.txn_id};
-  for (const WriteOp& op : ws.ops) {
+CommittedWrites::CommittedWrites(const WriteSet& ws, int64_t seq)
+    : version(ws.commit_version), txn(ws.txn_id), seq(seq) {
+  keys.reserve(ws.ops.size());
+  for (const WriteOp& op : ws.ops) keys.push_back(TableKey{op.table, op.key});
+}
+
+bool CommittedWrites::WritesConflictWith(const WriteSet& ws) const {
+  // Writesets in these workloads are small (a handful of records), so the
+  // quadratic scan beats building hash sets.
+  for (const TableKey& k : keys) {
+    for (const WriteOp& op : ws.ops) {
+      if (k.table == op.table && k.key == op.key) return true;
+    }
+  }
+  return false;
+}
+
+bool CommittedWrites::ReadsConflictWith(const WriteSet& ws) const {
+  for (const TableKey& k : keys) {
+    for (const auto& [table, key] : ws.read_keys) {
+      if (k.table == table && k.key == key) return true;
+    }
+    for (const ReadRange& range : ws.read_ranges) {
+      if (k.table == range.table && k.key >= range.lo && k.key <= range.hi) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+void CommittedKeyIndex::Insert(const CommittedWrites& committed) {
+  const Hit hit{committed.version, committed.txn};
+  for (const TableKey& k : committed.keys) {
     // Versions are assigned in submission order, so a plain overwrite
     // always leaves the newest version behind.
-    latest_[TableKey{op.table, op.key}] = hit;
-    if (track_ranges_) by_table_[op.table][op.key] = hit;
+    latest_[k] = hit;
+    if (track_ranges_) by_table_[k.table][k.key] = hit;
   }
 }
 
-void CommittedKeyIndex::Erase(const WriteSet& ws) {
-  for (const WriteOp& op : ws.ops) {
-    auto it = latest_.find(TableKey{op.table, op.key});
-    if (it == latest_.end() || it->second.version != ws.commit_version) {
+void CommittedKeyIndex::Erase(const CommittedWrites& committed) {
+  for (const TableKey& k : committed.keys) {
+    auto it = latest_.find(k);
+    if (it == latest_.end() || it->second.version != committed.version) {
       continue;  // a later writeset overwrote this key; keep it indexed
     }
     latest_.erase(it);
     if (track_ranges_) {
-      auto tit = by_table_.find(op.table);
+      auto tit = by_table_.find(k.table);
       if (tit != by_table_.end()) {
-        tit->second.erase(op.key);
+        tit->second.erase(k.key);
         if (tit->second.empty()) by_table_.erase(tit);
       }
     }

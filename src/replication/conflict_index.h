@@ -15,6 +15,8 @@
 //    newest-first linear scan reported.  A per-table ordered map over the
 //    same entries serves the serializable mode's read-range (phantom)
 //    checks.  Entries are pruned as writesets fall out of the window.
+//    The window itself keeps only a CommittedWrites per commit — its
+//    version, transaction and written keys — never the rows.
 //
 //  * PendingApplyIndex — the proxy's view of its un-published writesets
 //    (queued, executing in an apply lane, or executed and awaiting the
@@ -34,6 +36,7 @@
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "common/types.h"
 #include "storage/write_set.h"
@@ -61,6 +64,31 @@ struct TableKeyHash {
   }
 };
 
+/// One entry of the certifier's conflict window: what certification still
+/// needs of a committed (sub-)writeset once it is frozen, forced and fanned
+/// out.  The rows and the encode buffer live on in the WAL only.
+struct CommittedWrites {
+  CommittedWrites(const WriteSet& ws, int64_t seq);
+
+  DbVersion version = kNoVersion;
+  TxnId txn = 0;
+  /// The certifier's commit sequence number (K > 1 orders hits reported
+  /// by different lanes with it).
+  int64_t seq = 0;
+  std::vector<TableKey> keys;  ///< written (table, key)s
+
+  /// True when `ws` writes one of these keys — the linear-scan oracle's
+  /// write-write check.
+  bool WritesConflictWith(const WriteSet& ws) const;
+  /// True when `ws`'s read set (keys or scanned ranges) covers one of
+  /// these keys — the oracle's read-write check.
+  bool ReadsConflictWith(const WriteSet& ws) const;
+  /// Bytes the entry holds (inline plus its key array).
+  size_t Bytes() const {
+    return sizeof(*this) + keys.capacity() * sizeof(TableKey);
+  }
+};
+
 /// The certifier's index over the committed conflict window.
 class CommittedKeyIndex {
  public:
@@ -77,13 +105,13 @@ class CommittedKeyIndex {
   explicit CommittedKeyIndex(bool track_ranges)
       : track_ranges_(track_ranges) {}
 
-  /// Indexes a committed writeset (`ws.commit_version` assigned).
-  void Insert(const WriteSet& ws);
+  /// Indexes a committed window entry.
+  void Insert(const CommittedWrites& committed);
 
-  /// Un-indexes a writeset falling out of the conflict window.  An entry
-  /// is only removed when it still points at this writeset's version — a
-  /// later write to the same key keeps the key indexed.
-  void Erase(const WriteSet& ws);
+  /// Un-indexes an entry falling out of the conflict window.  A key is
+  /// only removed when it still points at this entry's version — a later
+  /// write to the same key keeps the key indexed.
+  void Erase(const CommittedWrites& committed);
 
   /// The newest committed write after `snapshot` to any key `ws` writes;
   /// false when none (the writeset certifies under first-committer-wins).

@@ -82,15 +82,6 @@ Duration Proxy::Stochastic(Duration mean_cost) {
   return static_cast<Duration>(cost);
 }
 
-DbVersion Proxy::OldestActiveSnapshot() const {
-  DbVersion oldest = v_local();
-  for (const auto& [txn_id, t] : active_) {
-    (void)txn_id;
-    if (t->txn != nullptr) oldest = std::min(oldest, t->txn->snapshot());
-  }
-  return oldest;
-}
-
 void Proxy::Crash() {
   down_ = true;
   ++epoch_;  // invalidates every in-flight completion callback
@@ -811,7 +802,7 @@ void Proxy::PublishReady() {
        it = executed_.find(v_local() + 1)) {
     PendingApply apply = std::move(it->second);
     executed_.erase(it);
-    const Status st = db_->ApplyWriteSet(*apply.ws, /*force_log=*/false);
+    const Status st = db_->ApplyWriteSet(*apply.ws);
     SCREP_CHECK_MSG(st.ok(), "apply failed: " << st.ToString());
     pending_index_.Erase(*apply.ws);
     if (!apply.is_local) {

@@ -254,10 +254,6 @@ class Proxy {
   int64_t refresh_applied_count() const { return refresh_applied_; }
   int64_t early_abort_count() const { return early_aborts_; }
 
-  /// The oldest snapshot any active transaction reads at (V_local when
-  /// idle) — the MVCC garbage-collection horizon.
-  DbVersion OldestActiveSnapshot() const;
-
  private:
   /// A client transaction in flight at this replica.
   struct ActiveTxn {

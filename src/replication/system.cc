@@ -175,7 +175,6 @@ Result<std::unique_ptr<ReplicatedSystem>> ReplicatedSystem::Create(
   system->obs_->ConfigureHealth(config.replica_count);
   system->RegisterGauges();
   system->obs_->StartSampling();
-  if (config.gc_interval > 0) system->ScheduleGc();
   return system;
 }
 
@@ -204,6 +203,24 @@ void ReplicatedSystem::RegisterGauges() {
       });
     }
   }
+  // Retained state (what a long run keeps): the lanes' conflict windows,
+  // the idempotence decisions and the forced log.
+  registry->RegisterCallbackGauge("certifier.window_entries", [this]() {
+    return static_cast<double>(certifier_->window_entries());
+  });
+  registry->RegisterCallbackGauge("certifier.window_bytes", [this]() {
+    return static_cast<double>(certifier_->window_bytes());
+  });
+  registry->RegisterCallbackGauge("certifier.decided", [this]() {
+    return static_cast<double>(certifier_->decided_size());
+  });
+  registry->RegisterCallbackGauge("certifier.wal_bytes", [this]() {
+    size_t bytes = 0;
+    for (ShardId s = 0; s < certifier_->lane_count(); ++s) {
+      bytes += certifier_->wal(s).DurableBytes();
+    }
+    return static_cast<double>(bytes);
+  });
   registry->RegisterCallbackGauge("lb.outstanding", [this]() {
     int total = 0;
     for (ReplicaId r = 0; r < config_.replica_count; ++r) {
@@ -256,6 +273,13 @@ void ReplicatedSystem::RegisterGauges() {
     });
     registry->RegisterCallbackGauge(prefix + "publish_backlog", [proxy]() {
       return static_cast<double>(proxy->publish_backlog());
+    });
+    Database* db = replicas_[static_cast<size_t>(r)]->db();
+    registry->RegisterCallbackGauge(prefix + "versions", [db]() {
+      return static_cast<double>(db->VersionCount());
+    });
+    registry->RegisterCallbackGauge(prefix + "prune_queue", [db]() {
+      return static_cast<double>(db->PruneQueueDepth());
     });
     if (config_.certifier.refresh_credit_window > 0) {
       registry->RegisterCallbackGauge(prefix + "refresh_credits",
@@ -828,18 +852,6 @@ void ReplicatedSystem::HealReplicaPartition(ReplicaId replica) {
     p->CallWhenVersionReached(target, [this, replica]() {
       load_balancer_->MarkReplicaUp(replica);
     });
-  });
-}
-
-void ReplicatedSystem::ScheduleGc() {
-  rt_->Schedule(config_.gc_interval, [this]() {
-    if (gc_stopped_) return;
-    for (auto& replica : replicas_) {
-      if (replica->proxy()->down()) continue;
-      const DbVersion horizon = replica->proxy()->OldestActiveSnapshot();
-      replica->db()->TruncateVersions(horizon);
-    }
-    ScheduleGc();
   });
 }
 

@@ -66,9 +66,6 @@ struct SystemConfig {
   /// approach (paper §IV fault-tolerance); CrashCertifier() then promotes
   /// it. Not supported together with the eager configuration.
   bool standby_certifier = false;
-  /// Interval of the replicas' MVCC garbage collection (0 = off). Each
-  /// sweep truncates row versions no active transaction can see.
-  Duration gc_interval = 0;
   /// Seed for the replicas' stochastic service-time streams.
   uint64_t seed = 1;
   /// Partitioned certification (certifier.shard_lanes > 1 only): each
@@ -153,10 +150,6 @@ class ReplicatedSystem {
     return partitioned_[static_cast<size_t>(replica)];
   }
 
-  /// Stops the periodic GC daemon (used by the experiment harness so the
-  /// event queue can drain at the end of a run).
-  void StopGc() { gc_stopped_ = true; }
-
   /// Crash-stop failure of the primary certifier; the standby (which has
   /// processed the identical certification stream) is promoted, replicas
   /// catch up on any refreshes lost in flight, and transactions awaiting
@@ -224,10 +217,8 @@ class ReplicatedSystem {
   /// "certifier", "lb") to the event log.
   void EmitFaultEvent(obs::EventKind kind, const char* component,
                       ReplicaId replica);
-  /// Schedules the next MVCC garbage-collection sweep.
-  void ScheduleGc();
   /// Registers the component state gauges (queue depths, version lag,
-  /// utilizations) polled by the sampler.
+  /// utilizations, retained state) polled by the sampler.
   void RegisterGauges();
 
   runtime::Runtime* rt_;
@@ -255,7 +246,6 @@ class ReplicatedSystem {
   ClientCallback client_cb_;
   History* history_ = nullptr;
   TxnId next_txn_id_ = 1;
-  bool gc_stopped_ = false;
 
   // ---- The transport fabric (net/channel.h) ----
   // Endpoints: closing one (crash-stop) makes every channel pointed at

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "storage/transaction.h"
+#include "storage/wal.h"
 
 namespace screp {
 
@@ -77,19 +78,10 @@ std::vector<std::string> Database::TableNames() const {
 
 std::unique_ptr<Transaction> Database::Begin() {
   // Read the committed version and register it as active under one lock
-  // so a concurrent TruncateVersions cannot slip between the two and GC
-  // the snapshot before it is pinned.
+  // so a concurrent apply's prune horizon either counts this snapshot or
+  // was read before it existed (and is then <= it).
   std::lock_guard lock(snapshots_mutex_);
   const DbVersion snapshot = CommittedVersion();
-  active_snapshots_.insert(snapshot);
-  return std::unique_ptr<Transaction>(new Transaction(this, snapshot));
-}
-
-std::unique_ptr<Transaction> Database::BeginAt(DbVersion snapshot) {
-  SCREP_CHECK_MSG(snapshot <= CommittedVersion(),
-                  "snapshot " << snapshot << " beyond committed version "
-                              << CommittedVersion());
-  std::lock_guard lock(snapshots_mutex_);
   active_snapshots_.insert(snapshot);
   return std::unique_ptr<Transaction>(new Transaction(this, snapshot));
 }
@@ -102,7 +94,7 @@ void Database::UnregisterSnapshot(DbVersion snapshot) {
   active_snapshots_.erase(it);
 }
 
-Status Database::ApplyWriteSet(const WriteSet& ws, bool force_log) {
+Status Database::ApplyWriteSet(const WriteSet& ws) {
   std::lock_guard lock(commit_mutex_);
   const DbVersion expected = CommittedVersion() + 1;
   if (ws.commit_version != expected) {
@@ -111,34 +103,42 @@ Status Database::ApplyWriteSet(const WriteSet& ws, bool force_log) {
         std::to_string(ws.commit_version) + ", expected " +
         std::to_string(expected));
   }
-  for (const WriteOp& op : ws.ops) {
-    Table* t = table(op.table);
-    if (op.type == WriteType::kDelete) {
-      t->Install(op.key, ws.commit_version, /*deleted=*/true, Row{});
-    } else {
-      SCREP_CHECK_MSG(op.row.has_value(), "insert/update without row");
-      t->Install(op.key, ws.commit_version, /*deleted=*/false, *op.row);
-    }
-  }
-  wal_.Append(ws, force_log);
-  committed_version_.store(ws.commit_version, std::memory_order_release);
+  ApplyLocked(ws, expected);
   return Status::OK();
 }
 
 Status Database::ApplyWriteSetLocal(const WriteSet& ws) {
   std::lock_guard lock(commit_mutex_);
-  const DbVersion version = CommittedVersion() + 1;
+  ApplyLocked(ws, CommittedVersion() + 1);
+  return Status::OK();
+}
+
+void Database::ApplyLocked(const WriteSet& ws, DbVersion version) {
   for (const WriteOp& op : ws.ops) {
     Table* t = table(op.table);
+    std::optional<Table::ChainRef> superseded;
     if (op.type == WriteType::kDelete) {
-      t->Install(op.key, version, /*deleted=*/true, Row{});
+      superseded = t->Install(op.key, version, /*deleted=*/true, Row{});
     } else {
       SCREP_CHECK_MSG(op.row.has_value(), "insert/update without row");
-      t->Install(op.key, version, /*deleted=*/false, *op.row);
+      superseded = t->Install(op.key, version, /*deleted=*/false, *op.row);
     }
+    if (superseded) prune_queue_.push_back({t, *superseded, version});
   }
   committed_version_.store(version, std::memory_order_release);
-  return Status::OK();
+  DbVersion horizon = version;
+  {
+    std::lock_guard lock(snapshots_mutex_);
+    if (!active_snapshots_.empty()) {
+      horizon = std::min(horizon, *active_snapshots_.begin());
+    }
+  }
+  while (!prune_queue_.empty() &&
+         prune_queue_.front().superseded_at <= horizon) {
+    const Superseded& s = prune_queue_.front();
+    s.table->PruneChain(s.chain, s.superseded_at, horizon);
+    prune_queue_.pop_front();
+  }
 }
 
 Status Database::BulkLoad(TableId table_id, Row row) {
@@ -152,36 +152,31 @@ Status Database::BulkLoad(TableId table_id, Row row) {
   return Status::OK();
 }
 
-size_t Database::TruncateVersions(DbVersion oldest_active) {
-  {
-    // Never GC past a live transaction's snapshot.  Transactions that
-    // begin after this point read at the current committed version, which
-    // is >= any horizon a caller can legitimately pass.
-    std::lock_guard lock(snapshots_mutex_);
-    if (!active_snapshots_.empty()) {
-      oldest_active = std::min(oldest_active, *active_snapshots_.begin());
-    }
+Status Database::RecoverFrom(const Wal& wal) {
+  std::vector<WriteSet> records;
+  SCREP_RETURN_NOT_OK(wal.ReadAll(&records));
+  for (const WriteSet& ws : records) {
+    SCREP_RETURN_NOT_OK(ApplyWriteSet(ws));
   }
-  size_t discarded = 0;
+  return Status::OK();
+}
+
+size_t Database::VersionCount() const {
   size_t n;
   {
     std::lock_guard lock(catalog_mutex_);
     n = tables_.size();
   }
+  size_t total = 0;
   for (size_t i = 0; i < n; ++i) {
-    discarded += table(static_cast<TableId>(i))->TruncateVersions(
-        oldest_active);
+    total += table(static_cast<TableId>(i))->VersionCount();
   }
-  return discarded;
+  return total;
 }
 
-Status Database::RecoverFrom(const Wal& wal) {
-  std::vector<WriteSet> records;
-  SCREP_RETURN_NOT_OK(wal.ReadAll(&records));
-  for (const WriteSet& ws : records) {
-    SCREP_RETURN_NOT_OK(ApplyWriteSet(ws, /*force_log=*/false));
-  }
-  return Status::OK();
+size_t Database::PruneQueueDepth() const {
+  std::lock_guard lock(commit_mutex_);
+  return prune_queue_.size();
 }
 
 }  // namespace screp

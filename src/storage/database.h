@@ -5,11 +5,24 @@
 // version 0 and the committed version advances by exactly one whenever an
 // update transaction (local or refresh) commits.  The commit path applies
 // certified writesets in the certifier's global order via ApplyWriteSet.
+//
+// There is no replica log: the certifier's forced WAL is the only
+// durability point, and replicas run with log forcing off (paper §V-A /
+// Tashkent), so an apply only installs versions.
+//
+// MVCC pruning is part of apply.  Each version an apply supersedes is
+// queued with the version that superseded it; every apply then prunes
+// the queued chains up to the horizon min(oldest live snapshot,
+// committed version).  No snapshot at or above the horizon can read a
+// version superseded at or below it, and every later Begin() reads at
+// the committed version, so memory per key stays bounded by the live
+// snapshots without a background sweep.
 
 #ifndef SCREP_STORAGE_DATABASE_H_
 #define SCREP_STORAGE_DATABASE_H_
 
 #include <atomic>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -20,12 +33,12 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "storage/table.h"
-#include "storage/wal.h"
 #include "storage/write_set.h"
 
 namespace screp {
 
 class Transaction;
+class Wal;
 
 /// A collection of MVCC tables plus the local committed-version counter.
 class Database {
@@ -72,22 +85,17 @@ class Database {
     return committed_version_.load(std::memory_order_acquire);
   }
 
-  /// Begins a transaction reading at the current committed version.
+  /// Begins a transaction reading at the current committed version.  Its
+  /// snapshot stays registered (and its versions unpruned) until the
+  /// transaction is destroyed.
   std::unique_ptr<Transaction> Begin();
 
-  /// Begins a transaction reading at an explicit snapshot (must be
-  /// <= CommittedVersion()).
-  std::unique_ptr<Transaction> BeginAt(DbVersion snapshot);
-
-  /// Applies a certified writeset and advances the committed version.
+  /// Applies a certified writeset, advances the committed version and
+  /// prunes what the apply left unreachable (see the file comment).
   /// `ws.commit_version` must be exactly CommittedVersion() + 1 — the
   /// caller (the proxy) is responsible for ordering — otherwise Internal
   /// is returned and nothing is applied.
-  ///
-  /// When `force_log` is true the writeset is appended to the WAL with a
-  /// forced write; replicas run with log forcing off because the certifier
-  /// enforces durability (paper §V-A / Tashkent).
-  Status ApplyWriteSet(const WriteSet& ws, bool force_log = false);
+  Status ApplyWriteSet(const WriteSet& ws);
 
   /// Applies a certified writeset stamping the *local* next version:
   /// the rows are installed at CommittedVersion() + 1 regardless of the
@@ -95,44 +103,54 @@ class Database {
   /// replication) proxies, where commit versions are per shard and no
   /// single global counter matches the database's dense local sequence;
   /// the proxy enforces per-shard application order, this method only
-  /// keeps local MVCC versioning dense.  Never logs (WAL recovery is
-  /// unsupported for sharded configurations).
+  /// keeps local MVCC versioning dense.  Prunes like ApplyWriteSet.
   Status ApplyWriteSetLocal(const WriteSet& ws);
 
   /// Loads a row directly at a version — used only for bulk-population
   /// before the system starts (bypasses versioning checks).
   Status BulkLoad(TableId table, Row row);
 
-  /// Garbage-collects versions invisible to snapshots >= oldest_active
-  /// across all tables. Returns versions discarded.  The horizon is
-  /// clamped to the oldest snapshot of any live Transaction, so a reader
-  /// that began before this call never loses the versions it reads.
-  size_t TruncateVersions(DbVersion oldest_active);
-
-  /// The write-ahead log (populated only when ApplyWriteSet logs).
-  Wal* wal() { return &wal_; }
-
-  /// Rebuilds database state by replaying a WAL from scratch; tables must
-  /// already be created (schemas are not logged). Used for recovery tests.
+  /// Rebuilds database state by replaying a WAL (the certifier's) from
+  /// scratch; tables must already be created (schemas are not logged).
   Status RecoverFrom(const Wal& wal);
+
+  /// Row-versions stored across all tables (O(1) per table).
+  size_t VersionCount() const;
+
+  /// Superseded versions queued for pruning: those the oldest live
+  /// snapshot could still read when the last apply ran.
+  size_t PruneQueueDepth() const;
 
  private:
   friend class Transaction;
 
+  /// A version superseded at `superseded_at`; pruned once the horizon
+  /// reaches it.  The chain handle avoids a second key lookup.
+  struct Superseded {
+    Table* table;
+    Table::ChainRef chain;
+    DbVersion superseded_at;
+  };
+
   /// Called from ~Transaction; drops one registration of `snapshot`.
   void UnregisterSnapshot(DbVersion snapshot);
+
+  /// Installs `ws`'s writes at `version`, queueing what they supersede,
+  /// then publishes `version` and prunes.  Caller holds commit_mutex_.
+  void ApplyLocked(const WriteSet& ws, DbVersion version);
 
   mutable std::mutex catalog_mutex_;
   std::vector<std::unique_ptr<Table>> tables_;
   std::unordered_map<std::string, TableId> table_ids_;
   std::atomic<DbVersion> committed_version_{0};
   std::atomic<uint64_t> catalog_epoch_{0};
-  std::mutex commit_mutex_;
-  // Snapshots of live transactions; TruncateVersions never GCs past the
-  // smallest one.
+  mutable std::mutex commit_mutex_;
+  // Snapshots of live transactions; pruning never passes the smallest one.
   mutable std::mutex snapshots_mutex_;
   std::multiset<DbVersion> active_snapshots_;
-  Wal wal_;
+  // Superseded versions in non-decreasing superseded_at order (guarded by
+  // commit_mutex_).
+  std::deque<Superseded> prune_queue_;
 };
 
 }  // namespace screp

@@ -12,7 +12,8 @@ Table::Table(TableId id, std::string name, Schema schema)
     : id_(id), name_(std::move(name)), schema_(std::move(schema)) {}
 
 const RowVersion* Table::VisibleIn(const Chain& chain, DbVersion snapshot) {
-  // Chains are short (GC keeps them trimmed); scan from the newest end.
+  // Chains are short (applies prune superseded versions); scan from the
+  // newest end.
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     if (it->version <= snapshot) return &*it;
   }
@@ -91,10 +92,12 @@ void Table::IndexInsertLocked(int64_t key, const Row& row) {
   }
 }
 
-void Table::Install(int64_t key, DbVersion version, bool deleted, Row row) {
+std::optional<Table::ChainRef> Table::Install(int64_t key, DbVersion version,
+                                              bool deleted, Row row) {
   std::unique_lock lock(mutex_);
   if (!deleted && !indexes_.empty()) IndexInsertLocked(key, row);
-  Chain& chain = rows_[key];
+  const ChainRef it = rows_.try_emplace(key).first;
+  Chain& chain = it->second;
   SCREP_CHECK_MSG(chain.empty() || chain.back().version <= version,
                   "out-of-order install on " << name_ << "#" << key << ": "
                                              << version << " after "
@@ -104,9 +107,14 @@ void Table::Install(int64_t key, DbVersion version, bool deleted, Row row) {
     // a refresh duplicate; last write wins.
     chain.back().deleted = deleted;
     chain.back().row = std::move(row);
-    return;
+    return std::nullopt;
   }
+  const bool supersedes = !chain.empty();
   chain.push_back(RowVersion{version, deleted, std::move(row)});
+  versions_.store(versions_.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);  // writers hold the lock
+  if (!supersedes) return std::nullopt;
+  return it;
 }
 
 void Table::Scan(
@@ -148,42 +156,30 @@ size_t Table::LiveRowCount(DbVersion snapshot) const {
   return n;
 }
 
-size_t Table::TruncateVersions(DbVersion oldest_active) {
+size_t Table::PruneChain(ChainRef it, DbVersion superseded_at,
+                         DbVersion horizon) {
   std::unique_lock lock(mutex_);
-  size_t discarded = 0;
-  for (auto it = rows_.begin(); it != rows_.end();) {
-    Chain& chain = it->second;
-    // Find the newest version <= oldest_active; everything before it is
-    // unreachable.
-    size_t keep_from = 0;
-    for (size_t i = 0; i < chain.size(); ++i) {
-      if (chain[i].version <= oldest_active) keep_from = i;
-    }
-    if (keep_from > 0) {
-      discarded += keep_from;
-      chain.erase(chain.begin(),
-                  chain.begin() + static_cast<ptrdiff_t>(keep_from));
-    }
-    // Drop keys whose only surviving version is an old tombstone.
-    if (chain.size() == 1 && chain[0].deleted &&
-        chain[0].version <= oldest_active) {
-      discarded += 1;
-      it = rows_.erase(it);
-    } else {
-      ++it;
-    }
+  Chain& chain = it->second;
+  // The newest version <= horizon is what the oldest snapshot reads;
+  // everything before it is unreachable.
+  size_t keep_from = 0;
+  while (keep_from + 1 < chain.size() &&
+         chain[keep_from + 1].version <= horizon) {
+    ++keep_from;
   }
+  chain.erase(chain.begin(), chain.begin() + static_cast<ptrdiff_t>(keep_from));
+  size_t discarded = keep_from;
+  // A key whose only version is an old tombstone is gone for every
+  // snapshot.  Erase it only on the supersession that installed the
+  // tombstone: no later queued supersession can then point at this node.
+  if (chain.size() == 1 && chain[0].deleted &&
+      chain[0].version == superseded_at) {
+    rows_.erase(it);
+    ++discarded;
+  }
+  versions_.store(versions_.load(std::memory_order_relaxed) - discarded,
+                  std::memory_order_relaxed);
   return discarded;
-}
-
-size_t Table::VersionCount() const {
-  std::shared_lock lock(mutex_);
-  size_t n = 0;
-  for (const auto& [key, chain] : rows_) {
-    (void)key;
-    n += chain.size();
-  }
-  return n;
 }
 
 }  // namespace screp

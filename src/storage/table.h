@@ -6,6 +6,10 @@
 // (Database::ApplyWriteSet) with an explicit commit version so the replica
 // can follow the certifier's global commit order.
 //
+// Old versions are pruned as applies supersede them: Install() hands back
+// the chain a new version superseded, and the owning Database prunes that
+// chain once no snapshot can still read the old version (PruneChain).
+//
 // The table is thread-safe: the replicated system drives it from a single
 // event loop, but the engine is also usable (and stress-tested) from
 // multiple threads.
@@ -13,6 +17,7 @@
 #ifndef SCREP_STORAGE_TABLE_H_
 #define SCREP_STORAGE_TABLE_H_
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <optional>
@@ -39,6 +44,11 @@ struct RowVersion {
 /// An MVCC table keyed by INT primary key.
 class Table {
  public:
+  using Chain = std::vector<RowVersion>;  // ascending by version
+  /// A key's version chain.  std::map nodes never move, so the handle
+  /// stays valid until PruneChain erases the key.
+  using ChainRef = std::map<int64_t, Chain>::iterator;
+
   Table(TableId id, std::string name, Schema schema);
 
   Table(const Table&) = delete;
@@ -58,7 +68,10 @@ class Table {
 
   /// Installs a version with the given commit version. Versions for a key
   /// must be installed in non-decreasing version order (enforced).
-  void Install(int64_t key, DbVersion version, bool deleted, Row row);
+  /// Returns the key's chain when the new version superseded an older
+  /// one (which snapshots >= `version` can no longer see), else nullopt.
+  std::optional<ChainRef> Install(int64_t key, DbVersion version,
+                                  bool deleted, Row row);
 
   /// Creates a secondary index on column `column` (by ordinal), backfilled
   /// from all existing row versions. Idempotent.
@@ -93,17 +106,23 @@ class Table {
   /// Number of live rows at `snapshot`.
   size_t LiveRowCount(DbVersion snapshot) const;
 
-  /// Garbage-collects versions no longer visible to any snapshot >=
-  /// `oldest_active`: for each key keeps the newest version <=
-  /// oldest_active plus everything newer. Returns versions discarded.
-  size_t TruncateVersions(DbVersion oldest_active);
+  /// Prunes the chain Install() returned when it superseded a version at
+  /// `superseded_at`: drops the versions no snapshot >= `horizon` can see
+  /// (keeps the newest version <= horizon plus everything newer), and
+  /// erases the key when all that is left is a tombstone <= horizon that
+  /// `superseded_at` installed.  Pre-condition: superseded_at <= horizon,
+  /// and the key is not erased yet — each supersession is pruned once, in
+  /// version order, so only its last one may erase the key.  Returns
+  /// versions discarded.
+  size_t PruneChain(ChainRef chain, DbVersion superseded_at,
+                    DbVersion horizon);
 
-  /// Total stored row-versions (for GC accounting/tests).
-  size_t VersionCount() const;
+  /// Total stored row-versions, O(1).
+  size_t VersionCount() const {
+    return versions_.load(std::memory_order_relaxed);
+  }
 
  private:
-  using Chain = std::vector<RowVersion>;  // ascending by version
-
   /// Newest entry in `chain` with version <= snapshot, or nullptr.
   static const RowVersion* VisibleIn(const Chain& chain, DbVersion snapshot);
 
@@ -117,6 +136,9 @@ class Table {
 
   mutable std::shared_mutex mutex_;
   std::map<int64_t, Chain> rows_;  // ordered => deterministic scans
+  /// Row-versions across all chains (written under the write lock, read
+  /// lock-free by gauges).
+  std::atomic<size_t> versions_{0};
 
   /// Secondary indexes: column ordinal -> (value -> candidate keys).
   /// Candidates are keys that at *some* version held the value; readers

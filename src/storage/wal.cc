@@ -2,6 +2,11 @@
 
 namespace screp {
 
+void Wal::MakeDurableLocked(const std::string& record) {
+  offsets_.push_back(durable_.size());
+  durable_ += record;
+}
+
 uint64_t Wal::Append(const WriteSet& ws, bool force) {
   std::lock_guard lock(mutex_);
   const uint64_t lsn = appended_++;
@@ -10,13 +15,9 @@ uint64_t Wal::Append(const WriteSet& ws, bool force) {
     // preserve ordering.  The record bytes come straight from the
     // writeset's memoized encode arena — encoded once when the certifier
     // froze it, appended here without a per-record temporary.
-    for (std::string& b : buffered_) {
-      durable_ += b;
-      ++durable_count_;
-    }
+    for (const std::string& b : buffered_) MakeDurableLocked(b);
     buffered_.clear();
-    durable_ += ws.EncodedBytes();
-    ++durable_count_;
+    MakeDurableLocked(ws.EncodedBytes());
   } else {
     buffered_.push_back(ws.EncodedBytes());
   }
@@ -25,10 +26,7 @@ uint64_t Wal::Append(const WriteSet& ws, bool force) {
 
 void Wal::Force() {
   std::lock_guard lock(mutex_);
-  for (std::string& b : buffered_) {
-    durable_ += b;
-    ++durable_count_;
-  }
+  for (const std::string& b : buffered_) MakeDurableLocked(b);
   buffered_.clear();
 }
 
@@ -39,7 +37,7 @@ uint64_t Wal::Size() const {
 
 uint64_t Wal::DurableSize() const {
   std::lock_guard lock(mutex_);
-  return durable_count_;
+  return offsets_.size();
 }
 
 size_t Wal::DurableBytes() const {
@@ -48,15 +46,21 @@ size_t Wal::DurableBytes() const {
 }
 
 Status Wal::ReadAll(std::vector<WriteSet>* out) const {
+  return ReadFrom(0, [out](const WriteSet& ws) { out->push_back(ws); });
+}
+
+Status Wal::ReadFrom(uint64_t first,
+                     const std::function<void(const WriteSet&)>& sink) const {
   std::lock_guard lock(mutex_);
-  size_t offset = 0;
+  if (first >= offsets_.size()) return Status::OK();
+  size_t offset = offsets_[first];
   while (offset < durable_.size()) {
     WriteSet ws;
     if (!WriteSet::DecodeFrom(durable_, &offset, &ws)) {
       return Status::IOError("corrupt WAL record at offset " +
                              std::to_string(offset));
     }
-    out->push_back(std::move(ws));
+    sink(ws);
   }
   return Status::OK();
 }

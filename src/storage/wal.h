@@ -1,16 +1,18 @@
 // A minimal write-ahead log storing serialized writesets.
 //
 // In the paper's prototype, transaction durability is enforced by the
-// certifier (which forces its log) while replicas run with log forcing
-// turned off.  Both behaviours use this WAL: appends are buffered, and
-// Force() makes everything appended so far durable.  The log is held in
-// memory with explicit serialization so recovery genuinely re-decodes
-// bytes.
+// certifier, which forces its log; replicas run with log forcing turned
+// off and keep no log at all here.  Appends are either forced (durable at
+// once) or buffered until Force().  The log is held in memory with
+// explicit serialization so recovery genuinely re-decodes bytes, and the
+// start offset of every durable record is kept so a reader can start at
+// any record (the certifier's catch-up path) without decoding the prefix.
 
 #ifndef SCREP_STORAGE_WAL_H_
 #define SCREP_STORAGE_WAL_H_
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -48,15 +50,25 @@ class Wal {
   /// corrupt record.
   Status ReadAll(std::vector<WriteSet>* out) const;
 
+  /// Decodes durable records `first`, first + 1, ... (0-based, append
+  /// order) and hands each to `sink`; nothing when first >= DurableSize().
+  /// `sink` runs under the log's lock and must not call back into it.
+  /// Returns IOError on a corrupt record.
+  Status ReadFrom(uint64_t first,
+                  const std::function<void(const WriteSet&)>& sink) const;
+
   /// Drops *unforced* records — simulates a crash losing buffered log.
   void DropUnforced();
 
  private:
+  /// Moves one serialized record into the durable log.
+  void MakeDurableLocked(const std::string& record);
+
   mutable std::mutex mutex_;
   std::string durable_;            // serialized forced records
+  std::vector<size_t> offsets_;    // start of each durable record
   std::vector<std::string> buffered_;  // serialized but not yet forced
   uint64_t appended_ = 0;
-  uint64_t durable_count_ = 0;
 };
 
 }  // namespace screp

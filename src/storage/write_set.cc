@@ -154,21 +154,6 @@ bool WriteSet::ConflictsWith(const WriteSet& other) const {
   return false;
 }
 
-bool WriteSet::ReadsConflictWith(const WriteSet& other) const {
-  for (const WriteOp& w : other.ops) {
-    for (const auto& [table, key] : read_keys) {
-      if (w.table == table && w.key == key) return true;
-    }
-    for (const ReadRange& range : read_ranges) {
-      if (w.table == range.table && w.key >= range.lo &&
-          w.key <= range.hi) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
 std::vector<TableId> WriteSet::TablesWritten() const {
   std::vector<TableId> tables;
   tables.reserve(ops.size());

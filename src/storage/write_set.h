@@ -89,11 +89,6 @@ class WriteSet {
   /// the write-write conflict test used by certification.
   bool ConflictsWith(const WriteSet& other) const;
 
-  /// True when `other`'s writes intersect this writeset's *read set*
-  /// (keys or scanned ranges) — the read-write conflict test used by
-  /// serializable certification.
-  bool ReadsConflictWith(const WriteSet& other) const;
-
   /// Sorted list of distinct tables written (the writeset's table-set,
   /// used to advance per-table versions in the fine-grained scheme).
   std::vector<TableId> TablesWritten() const;

@@ -689,7 +689,6 @@ TEST(ShardedSystemTest, CrossShardWorkloadDrivesTheSequencerAuditClean) {
   const SimTime end = Seconds(2);
   sim.Schedule(end, [&clients, &system]() {
     for (auto& client : clients) client->Stop();
-    system->StopGc();
     system->obs()->StopSampling();
   });
   sim.RunUntil(end);
@@ -711,6 +710,32 @@ TEST(ShardedSystemTest, CrossShardWorkloadDrivesTheSequencerAuditClean) {
               certifier->CommitVersion(s))
         << "shard " << s;
   }
+}
+
+// Cross-shard votes run in parallel on every touched lane, then wait in
+// the sequencer's decide queues: the profiler's segments must still tile
+// each committed attempt's response time (intake_wait + certify up to the
+// last vote, force_wait from there through the sequencer wait and the
+// joint force to the announcement).
+TEST(ShardedSystemTest, CrossShardWorkloadProfileConserves) {
+  const TwoTableWorkload workload;
+  ExperimentConfig config;
+  config.system.level = ConsistencyLevel::kLazyCoarse;
+  config.system.replica_count = 3;
+  config.system.certifier.shard_lanes = 2;
+  config.client_count = 6;
+  config.warmup = Seconds(0.5);
+  config.duration = Seconds(3);
+  config.seed = 7;
+  config.profile = true;
+  config.audit = true;
+  auto result = RunExperiment(workload, config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(result->profile.enabled);
+  EXPECT_GT(result->profile.conservation_checked, 0);
+  EXPECT_EQ(result->profile.conservation_violations, 0)
+      << result->profile.first_violation;
+  EXPECT_TRUE(result->audit.ok) << result->audit.ToString();
 }
 
 }  // namespace

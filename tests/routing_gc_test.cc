@@ -75,52 +75,47 @@ TEST(RoutingPolicyTest, LeastActiveBeatsRoundRobinOnSkewedWork) {
 }
 
 TEST(GcTest, VersionCountBoundedWithGc) {
-  // A tiny hot table hammered with updates accumulates versions without
-  // GC; with a periodic sweep the chains stay bounded.
+  // A tiny hot table hammered with updates: every apply prunes the
+  // versions it superseded once no snapshot reads them, so the chains
+  // stay near the live row count with no option set.
   MicroConfig micro;
   micro.table_count = 1;
   micro.rows_per_table = 10;  // hot rows: many versions each
   micro.update_fraction = 1.0;
   MicroWorkload workload(micro);
 
-  size_t versions[2];
-  int i = 0;
-  for (SimTime gc_interval : {SimTime{0}, Millis(200)}) {
-    Simulator sim;
-    runtime::SimRuntime rt{&sim};
-    SystemConfig config;
-    config.replica_count = 2;
-    config.level = ConsistencyLevel::kLazyCoarse;
-    config.gc_interval = gc_interval;
-    auto system_or = ReplicatedSystem::Create(
-        &rt, config,
-        [&workload](Database* db) { return workload.BuildSchema(db); },
-        [&workload](const Database& db, sql::TransactionRegistry* reg) {
-          return workload.DefineTransactions(db, reg);
-        });
-    ASSERT_TRUE(system_or.ok());
-    auto system = std::move(system_or).value();
-    system->SetClientCallback([](const TxnResponse&) {});
-    Rng rng(3);
-    for (int n = 0; n < 500; ++n) {
-      TxnRequest req;
-      req.txn_id = system->NextTxnId();
-      req.type = *system->registry().Find("update_item0");
-      req.session = 1;
-      req.params = {{Value(1), Value(rng.NextInRange(0, 9))}};
-      system->Submit(std::move(req));
-      sim.RunUntil(sim.Now() + Millis(5));
-    }
-    sim.RunUntil(sim.Now() + Seconds(1));
-    auto table = system->replica(0)->db()->FindTable("item0");
-    ASSERT_TRUE(table.ok());
-    versions[i++] =
-        system->replica(0)->db()->table(*table)->VersionCount();
+  Simulator sim;
+  runtime::SimRuntime rt{&sim};
+  SystemConfig config;
+  config.replica_count = 2;
+  config.level = ConsistencyLevel::kLazyCoarse;
+  auto system_or = ReplicatedSystem::Create(
+      &rt, config,
+      [&workload](Database* db) { return workload.BuildSchema(db); },
+      [&workload](const Database& db, sql::TransactionRegistry* reg) {
+        return workload.DefineTransactions(db, reg);
+      });
+  ASSERT_TRUE(system_or.ok());
+  auto system = std::move(system_or).value();
+  system->SetClientCallback([](const TxnResponse&) {});
+  Rng rng(3);
+  for (int n = 0; n < 500; ++n) {
+    TxnRequest req;
+    req.txn_id = system->NextTxnId();
+    req.type = *system->registry().Find("update_item0");
+    req.session = 1;
+    req.params = {{Value(1), Value(rng.NextInRange(0, 9))}};
+    system->Submit(std::move(req));
+    sim.RunUntil(sim.Now() + Millis(5));
   }
-  // Without GC every update leaves a version (500 + initial 10-ish);
-  // with GC the table stays near its live row count.
-  EXPECT_GT(versions[0], 400u);
-  EXPECT_LT(versions[1], 60u);
+  sim.RunUntil(sim.Now() + Seconds(1));
+  ASSERT_GT(system->certifier()->CommitVersion(), 400);
+  for (ReplicaId r = 0; r < 2; ++r) {
+    Database* db = system->replica(r)->db();
+    auto table = db->FindTable("item0");
+    ASSERT_TRUE(table.ok());
+    EXPECT_LT(db->table(*table)->VersionCount(), 60u) << "replica " << r;
+  }
 }
 
 TEST(GcTest, GcPreservesCorrectResults) {
@@ -131,7 +126,6 @@ TEST(GcTest, GcPreservesCorrectResults) {
   ExperimentConfig config;
   config.system.level = ConsistencyLevel::kLazyCoarse;
   config.system.replica_count = 3;
-  config.system.gc_interval = Millis(50);  // aggressive
   config.client_count = 6;
   config.warmup = Seconds(0.5);
   config.duration = Seconds(3);

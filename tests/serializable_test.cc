@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "replication/conflict_index.h"
 #include "replication/system.h"
 #include "storage/transaction.h"
 
@@ -71,11 +72,11 @@ TEST_F(ReadSetTest, ReadWriteConflictDetection) {
 
   WriteSet writer;
   writer.Add(table_, 5, WriteType::kUpdate, Row{Value(5), Value(0)});
-  EXPECT_TRUE(ws.ReadsConflictWith(writer));
+  EXPECT_TRUE(CommittedWrites(writer, 0).ReadsConflictWith(ws));
 
   WriteSet other;
   other.Add(table_, 6, WriteType::kUpdate, Row{Value(6), Value(0)});
-  EXPECT_FALSE(ws.ReadsConflictWith(other));
+  EXPECT_FALSE(CommittedWrites(other, 0).ReadsConflictWith(ws));
 }
 
 TEST_F(ReadSetTest, RangeConflictCatchesPhantoms) {
@@ -85,10 +86,10 @@ TEST_F(ReadSetTest, RangeConflictCatchesPhantoms) {
   // An insert into the scanned range is a phantom.
   WriteSet phantom;
   phantom.Add(table_, 4, WriteType::kInsert, Row{Value(4), Value(0)});
-  EXPECT_TRUE(ws.ReadsConflictWith(phantom));
+  EXPECT_TRUE(CommittedWrites(phantom, 0).ReadsConflictWith(ws));
   WriteSet outside;
   outside.Add(table_, 8, WriteType::kInsert, Row{Value(8), Value(0)});
-  EXPECT_FALSE(ws.ReadsConflictWith(outside));
+  EXPECT_FALSE(CommittedWrites(outside, 0).ReadsConflictWith(ws));
 }
 
 TEST_F(ReadSetTest, EncodeDecodePreservesReadSet) {

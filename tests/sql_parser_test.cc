@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace screp::sql {
 namespace {
 
@@ -126,6 +128,10 @@ struct BadCase {
   const char* name;
   const char* sql;
 };
+
+// gtest prints a parameter in each generated test's name; without this
+// it would dump the two pointers' bytes, which change from run to run.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << '"' << c.sql << '"'; }
 
 class ParserErrorTest : public ::testing::TestWithParam<BadCase> {};
 

@@ -125,27 +125,35 @@ TEST(StorageConcurrencyTest, TruncateClampsToLiveSnapshots) {
       "t", Schema({{"id", ValueType::kInt64}, {"val", ValueType::kInt64}}));
   ASSERT_TRUE(table.ok());
   ASSERT_TRUE(db.BulkLoad(*table, {Value(0), Value(int64_t{0})}).ok());
-  for (DbVersion v = 1; v <= 20; ++v) {
+  auto apply = [&](DbVersion v) {
     WriteSet ws;
     ws.commit_version = v;
     ws.Add(*table, 0, WriteType::kUpdate, Row{Value(0), Value(v)});
     ASSERT_TRUE(db.ApplyWriteSet(ws).ok());
-  }
-  auto old_txn = db.BeginAt(5);
-  // A horizon beyond the live snapshot must be clamped to it.
-  db.TruncateVersions(15);
+  };
+  for (DbVersion v = 1; v <= 5; ++v) apply(v);
+  // Idle applies prune everything they supersede.
+  EXPECT_EQ(db.table(*table)->VersionCount(), 1u);
+  EXPECT_EQ(db.PruneQueueDepth(), 0u);
+  auto old_txn = db.Begin();  // pins snapshot 5
+  for (DbVersion v = 6; v <= 20; ++v) apply(v);
+  // The pruning horizon is clamped to the live snapshot.
   auto row = old_txn->Get(*table, 0);
   ASSERT_TRUE(row.ok());
   EXPECT_EQ((*row)[1].AsInt(), 5);
   const size_t kept = db.table(*table)->VersionCount();
+  EXPECT_EQ(kept, 16u);  // versions 5..20
+  EXPECT_EQ(db.PruneQueueDepth(), 15u);
   old_txn.reset();
-  // With the old reader gone the same horizon takes effect.
-  db.TruncateVersions(15);
+  // With the old reader gone the next apply prunes up to itself.
+  apply(21);
   EXPECT_LT(db.table(*table)->VersionCount(), kept);
+  EXPECT_EQ(db.table(*table)->VersionCount(), 1u);
+  EXPECT_EQ(db.PruneQueueDepth(), 0u);
   auto txn = db.Begin();
   row = txn->Get(*table, 0);
   ASSERT_TRUE(row.ok());
-  EXPECT_EQ((*row)[1].AsInt(), 20);
+  EXPECT_EQ((*row)[1].AsInt(), 21);
 }
 
 TEST(StorageConcurrencyTest, GcRacesReadersSafely) {
@@ -160,15 +168,14 @@ TEST(StorageConcurrencyTest, GcRacesReadersSafely) {
       WriteSet ws;
       ws.commit_version = v;
       ws.Add(*table, 0, WriteType::kUpdate, Row{Value(0), Value(v)});
-      ASSERT_TRUE(db.ApplyWriteSet(ws).ok());
-      if (v % 50 == 0) db.TruncateVersions(v - 10);
+      ASSERT_TRUE(db.ApplyWriteSet(ws).ok());  // prunes as it goes
     }
     stop.store(true);
   });
   std::atomic<int> errors{0};
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      auto txn = db.Begin();  // snapshot is always >= GC horizon
+      auto txn = db.Begin();  // snapshot is always >= the prune horizon
       auto row = txn->Get(*table, 0);
       if (!row.ok()) errors.fetch_add(1);
     }
@@ -176,10 +183,14 @@ TEST(StorageConcurrencyTest, GcRacesReadersSafely) {
   writer.join();
   reader.join();
   EXPECT_EQ(errors.load(), 0);
-  // While readers are live GC clamps to their snapshots, so the chain may
-  // lag; with all readers gone one pass bounds it.
-  db.TruncateVersions(490);
+  // While readers are live pruning clamps to their snapshots, so the
+  // chain may lag; with all readers gone one more apply bounds it.
+  WriteSet ws;
+  ws.commit_version = 501;
+  ws.Add(*table, 0, WriteType::kUpdate, Row{Value(0), Value(501)});
+  ASSERT_TRUE(db.ApplyWriteSet(ws).ok());
   EXPECT_LT(db.table(*table)->VersionCount(), 100u);
+  EXPECT_EQ(db.PruneQueueDepth(), 0u);
 }
 
 }  // namespace

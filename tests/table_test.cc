@@ -138,12 +138,17 @@ TEST(TableTest, LiveRowCount) {
 
 TEST(TableTest, TruncateVersionsKeepsNewestVisible) {
   Table t(0, "t", KvSchema());
-  for (DbVersion v = 1; v <= 5; ++v) {
-    t.Install(1, v, false, {Value(1), Value(v * 10)});
+  EXPECT_FALSE(t.Install(1, 1, false, {Value(1), Value(10)}).has_value());
+  std::optional<Table::ChainRef> chain;
+  for (DbVersion v = 2; v <= 5; ++v) {
+    chain = t.Install(1, v, false, {Value(1), Value(v * 10)});
+    ASSERT_TRUE(chain.has_value());  // each install supersedes v - 1
   }
   EXPECT_EQ(t.VersionCount(), 5u);
-  const size_t discarded = t.TruncateVersions(3);
+  // The supersession at version 2 pruned at horizon 3.
+  const size_t discarded = t.PruneChain(*chain, 2, 3);
   EXPECT_EQ(discarded, 2u);  // versions 1,2 unreachable
+  EXPECT_EQ(t.VersionCount(), 3u);
   // Snapshot 3 still reads value 30; snapshot 5 reads 50.
   EXPECT_EQ((*t.Get(1, 3))[1].AsInt(), 30);
   EXPECT_EQ((*t.Get(1, 5))[1].AsInt(), 50);
@@ -152,9 +157,11 @@ TEST(TableTest, TruncateVersionsKeepsNewestVisible) {
 TEST(TableTest, TruncateRemovesOldTombstonedKeys) {
   Table t(0, "t", KvSchema());
   t.Install(1, 1, false, {Value(1), Value(1)});
-  t.Install(1, 2, true, {});
-  t.TruncateVersions(10);
+  const auto chain = t.Install(1, 2, true, {});
+  ASSERT_TRUE(chain.has_value());
+  t.PruneChain(*chain, 2, 10);
   EXPECT_EQ(t.KeyCount(), 0u);
+  EXPECT_EQ(t.VersionCount(), 0u);
 }
 
 }  // namespace

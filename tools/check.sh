@@ -13,9 +13,13 @@ if [[ "${1:-}" == "--no-sanitize" ]]; then
   SANITIZE=0
 fi
 
+# One compiler per core: a bare `-j` starts one per ready target, and a
+# sanitized translation unit can take most of a gigabyte on its own.
+JOBS="$(nproc)"
+
 echo "== normal build =="
 cmake -B build -S . >/dev/null
-cmake --build build -j
+cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j)
 
 echo "== runtime-seam lint =="
@@ -144,7 +148,7 @@ python3 tools/bench_gate.py --realtime build/BENCH_realtime.json
 if [[ "$SANITIZE" == "1" ]]; then
   echo "== sanitized build (address,undefined) =="
   cmake -B build-asan -S . -DSCREP_SANITIZE=address,undefined >/dev/null
-  cmake --build build-asan -j
+  cmake --build build-asan -j "$JOBS"
   (cd build-asan && ctest --output-on-failure -j)
 
   echo "== network-fault stage (address,undefined) =="
@@ -162,7 +166,7 @@ if [[ "$SANITIZE" == "1" ]]; then
 
   echo "== sanitized build (thread) =="
   cmake -B build-tsan -S . -DSCREP_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j
+  cmake --build build-tsan -j "$JOBS"
   (cd build-tsan && ctest --output-on-failure -j)
 
   echo "== network-fault stage (thread) =="
